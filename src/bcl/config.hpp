@@ -38,7 +38,6 @@ struct CostConfig {
   sim::Time event_dma = sim::Time::us(0.75);
 
   std::size_t mtu = 4096;    // fragment payload size
-  int tx_pipeline_depth = 4; // staging buffers in NIC SRAM
   // LANai streams host DMA into the link (and the reverse): only this much
   // of each fragment's DMA sits on the latency path; the rest overlaps the
   // wire.  This is what places half-bandwidth below 4 KB (Fig. 9).
@@ -71,13 +70,17 @@ struct CostConfig {
   // Firmware reload time between Driver::reset_nic's PIO kick and the MCP
   // accepting traffic under the new incarnation.
   sim::Time mcp_reboot_delay = sim::Time::us(200);
-  // Revival probing: once a peer is declared unreachable, a bounded
-  // low-rate keepalive asks whether it came back (answered at the same
-  // incarnation: the path healed after the retry budget died; at a higher
-  // one: it rebooted).  Bounded because a sleeping prober schedules timer
-  // events — an honestly dead peer must not keep the simulation alive.
-  sim::Time revival_probe_interval = sim::Time::us(500);
-  int revival_probe_max = 20;
+  // Background probing, shared by both probers: once a peer is declared
+  // unreachable, a low-rate revival keepalive asks whether it came back
+  // (answered at the same incarnation: the path healed after the retry
+  // budget died; at a higher one: it rebooted); once a fabric path is
+  // quarantined, a path probe rides it (kProbe with seq = path id + 1) and
+  // an answer restores it.  One probe per `probe_interval`, at most
+  // `probe_max` per prober.  Bounded because a sleeping prober schedules
+  // timer events — an honestly dead peer or path must not keep the
+  // simulation alive.
+  sim::Time probe_interval = sim::Time::us(500);
+  int probe_max = 20;
   // Retry ladder for the SYN re-establishment handshake; exhaustion fails
   // the session like an ordinary retry-budget death.
   sim::Time syn_retry = sim::Time::us(300);
@@ -95,20 +98,13 @@ struct CostConfig {
   // -- fabric fault tolerance (NIC-resident multipath failover) ------------------
   // When the fabric offers redundant paths (Fabric::route_count > 1, i.e.
   // the two-level Myrinet leaf/spine layout), each session tracks per-path
-  // health and fails over before the retry budget dies.  Off pins every
-  // session to the fabric's deterministic default route.
-  bool multipath = true;
+  // health and fails over before the retry budget dies.
   // Consecutive RTO expiries on one path before the session rotates to the
   // next healthy path and quarantines the struck one.  Must stay well below
   // max_retries so several failovers fit inside one retry budget; strikes
   // come only from timer expiries — ECN marks and congestion-inflated RTTs
   // never count (the adaptive RTO plus the cc drain allowance absorb them).
   int path_failover_retries = 3;
-  // Background prober walking quarantined paths (kProbe with seq =
-  // path id + 1, riding the probed path); an answered probe restores the
-  // path.  Bounded like the revival prober, and for the same reason.
-  sim::Time path_probe_interval = sim::Time::us(500);
-  int path_probe_max = 20;
 
   // -- credit-based flow control (system-channel pool protection) ----------------
   // MPICH2-over-InfiniBand-style end-to-end credits: every remote

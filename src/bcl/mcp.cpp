@@ -1,7 +1,6 @@
 #include "bcl/mcp.hpp"
 
 #include <algorithm>
-#include <iterator>
 #include <stdexcept>
 #include <utility>
 
@@ -41,118 +40,12 @@ Mcp::Mcp(sim::Engine& eng, hw::Nic& nic, const CostConfig& cfg,
       requests_{eng, cfg.request_queue_depth},
       tx_mutex_{eng},
       recorder_{cfg.flight_recorder_depth} {
-  if (metrics != nullptr) {
-    const std::string prefix = nic_.name() + ".mcp.";
-    m_dma_tx_bytes_ = &metrics->counter(prefix + "dma_tx_bytes");
-    m_dma_rx_bytes_ = &metrics->counter(prefix + "dma_rx_bytes");
-    m_tx_descriptors_ = &metrics->counter(prefix + "tx_descriptors");
-    // The MCP already keeps its own counters; export them by callback so
-    // the hot paths stay untouched.
-    metrics->counter(prefix + "rx_packets",
-                     [this] { return stats_.data_packets_in; });
-    metrics->counter(prefix + "crc_drops", [this] { return stats_.crc_drops; });
-    metrics->counter(prefix + "seq_drops", [this] { return stats_.seq_drops; });
-    metrics->counter(prefix + "no_port_drops",
-                     [this] { return stats_.no_port_drops; });
-    metrics->counter(prefix + "acks_sent", [this] { return stats_.acks_sent; });
-    metrics->counter(prefix + "messages_sent",
-                     [this] { return stats_.messages_sent; });
-    metrics->counter(prefix + "rma_reads_served",
-                     [this] { return stats_.rma_reads_served; });
-    metrics->counter(prefix + "retransmissions",
-                     [this] { return retransmissions(); });
-    metrics->counter(prefix + "timeouts", [this] { return timeouts(); });
-    metrics->counter(prefix + "window_stalls",
-                     [this] { return window_stalls(); });
-    metrics->gauge(prefix + "request_ring", [this] {
-      return static_cast<double>(requests_.size());
-    });
-    metrics->gauge(prefix + "request_ring_hwm", [this] {
-      return static_cast<double>(req_ring_hwm_);
-    });
-    metrics->gauge(prefix + "rx_queue_hwm", [this] {
-      return static_cast<double>(rx_queue_hwm_);
-    });
-    metrics->gauge(prefix + "tx_in_flight", [this] {
-      return static_cast<double>(tx_in_flight());
-    });
-    // Reliability-session aggregates under their own <nic>.rel.* prefix;
-    // per-peer estimator gauges are registered as sessions appear.
-    const std::string rel = nic_.name() + ".rel.";
-    metrics->counter(rel + "stray_acks", [this] { return stats_.stray_acks; });
-    metrics->counter(rel + "fast_retransmits",
-                     [this] { return fast_retransmits(); });
-    metrics->counter(rel + "peer_failures",
-                     [this] { return stats_.peer_failures; });
-    metrics->counter(rel + "restarts", [this] { return stats_.restarts; });
-    metrics->counter(rel + "recovered_peers",
-                     [this] { return stats_.recovered_peers; });
-    metrics->gauge(rel + "sessions", [this] {
-      return static_cast<double>(tx_sessions_.size());
-    });
-    metrics->gauge(rel + "unreachable_peers", [this] {
-      return static_cast<double>(unreachable_peers());
-    });
-  }
   flow_ = std::make_unique<FlowController>(eng, cfg, nic_.name(), trace,
                                            metrics);
   cc_ = std::make_unique<cc::CongestionController>(eng, cfg, nic_.name());
   cc_->set_trace(trace);
   path_table_ = std::make_unique<PathTable>(eng, cfg.path_failover_retries);
-  if (metrics != nullptr) {
-    const std::string ccp = nic_.name() + ".cc";
-    cc_->register_metrics(*metrics, ccp);
-    metrics->counter(ccp + ".marks_rx", [this] { return stats_.cc_marks_rx; });
-    metrics->counter(ccp + ".echoes_tx",
-                     [this] { return stats_.cc_echoes_tx; });
-  }
-  if (metrics != nullptr) {
-    // Multipath failover state under its own <nic>.path.* prefix.
-    const std::string pathp = nic_.name() + ".path.";
-    metrics->counter(pathp + "failovers",
-                     [this] { return path_table_->failovers(); });
-    metrics->counter(pathp + "restores",
-                     [this] { return path_table_->restores(); });
-    metrics->counter(pathp + "partitions",
-                     [this] { return path_table_->partitions(); });
-    metrics->counter(pathp + "probes_tx",
-                     [this] { return stats_.path_probes_tx; });
-    metrics->counter(pathp + "probes_rx",
-                     [this] { return stats_.path_probes_rx; });
-    metrics->gauge(pathp + "quarantined", [this] {
-      return static_cast<double>(path_table_->quarantined_count());
-    });
-  }
-  if (metrics != nullptr) {
-    // Flow-control aggregates under their own <nic>.fc.* prefix (the
-    // credit_rtt_us summary is registered by the FlowController itself).
-    const std::string fc = nic_.name() + ".fc.";
-    metrics->counter(fc + "stalls", [this] { return flow_->stalls(); });
-    metrics->counter(fc + "credits_consumed",
-                     [this] { return flow_->credits_consumed(); });
-    metrics->counter(fc + "grants_rx", [this] { return flow_->grants_rx(); });
-    metrics->counter(fc + "credits_granted",
-                     [this] { return stats_.fc_credits_granted; });
-    metrics->counter(fc + "rnr_nacks_tx",
-                     [this] { return stats_.rnr_nacks_tx; });
-    metrics->counter(fc + "rnr_nacks_rx",
-                     [this] { return stats_.rnr_nacks_rx; });
-    metrics->counter(fc + "credit_updates_tx",
-                     [this] { return stats_.fc_updates_tx; });
-    metrics->counter(fc + "credit_updates_rx",
-                     [this] { return stats_.fc_updates_rx; });
-    metrics->counter(fc + "probes_tx", [this] { return stats_.fc_probes_tx; });
-    metrics->counter(fc + "probes_rx", [this] { return stats_.fc_probes_rx; });
-    metrics->gauge(fc + "send_credits",
-                   [this] { return flow_->total_available(); });
-    metrics->gauge(fc + "rx_outstanding", [this] {
-      double n = 0;
-      for (const auto& [key, rc] : rx_credits_) {
-        n += static_cast<double>(rc.limit - rc.delivered);
-      }
-      return n;
-    });
-  }
+  if (metrics != nullptr) register_metrics(*metrics);
   coll_ = std::make_unique<coll::CollectiveEngine>(eng, nic, *this, cfg,
                                                    trace, metrics);
   eng_.spawn_daemon(tx_pump());
@@ -160,6 +53,80 @@ Mcp::Mcp(sim::Engine& eng, hw::Nic& nic, const CostConfig& cfg,
 }
 
 Mcp::~Mcp() = default;
+
+void Mcp::register_metrics(sim::MetricRegistry& m) {
+  const std::string nic = nic_.name();
+  m_dma_tx_bytes_ = &m.counter(nic + ".mcp.dma_tx_bytes");
+  m_dma_rx_bytes_ = &m.counter(nic + ".mcp.dma_rx_bytes");
+  m_tx_descriptors_ = &m.counter(nic + ".mcp.tx_descriptors");
+  // The MCP already keeps its own counters; export them by callback so
+  // the hot paths stay untouched.  Reliability-session aggregates live
+  // under <nic>.rel.*, multipath failover under <nic>.path.*, flow control
+  // under <nic>.fc.* (the credit_rtt_us summary is registered by the
+  // FlowController itself); per-peer estimator gauges are registered as
+  // sessions appear.
+  const std::pair<const char*, std::uint64_t Stats::*> stats[] = {
+      {".mcp.rx_packets", &Stats::data_packets_in},
+      {".mcp.crc_drops", &Stats::crc_drops},
+      {".mcp.seq_drops", &Stats::seq_drops},
+      {".mcp.no_port_drops", &Stats::no_port_drops},
+      {".mcp.acks_sent", &Stats::acks_sent},
+      {".mcp.messages_sent", &Stats::messages_sent},
+      {".mcp.rma_reads_served", &Stats::rma_reads_served},
+      {".rel.stray_acks", &Stats::stray_acks},
+      {".rel.peer_failures", &Stats::peer_failures},
+      {".rel.restarts", &Stats::restarts},
+      {".rel.recovered_peers", &Stats::recovered_peers},
+      {".cc.marks_rx", &Stats::cc_marks_rx},
+      {".cc.echoes_tx", &Stats::cc_echoes_tx},
+      {".path.probes_tx", &Stats::path_probes_tx},
+      {".path.probes_rx", &Stats::path_probes_rx},
+      {".fc.credits_granted", &Stats::fc_credits_granted},
+      {".fc.rnr_nacks_tx", &Stats::rnr_nacks_tx},
+      {".fc.rnr_nacks_rx", &Stats::rnr_nacks_rx},
+      {".fc.credit_updates_tx", &Stats::fc_updates_tx},
+      {".fc.credit_updates_rx", &Stats::fc_updates_rx},
+      {".fc.probes_tx", &Stats::fc_probes_tx},
+      {".fc.probes_rx", &Stats::fc_probes_rx},
+  };
+  for (const auto& [name, field] : stats) {
+    m.counter(nic + name, [this, field] { return stats_.*field; });
+  }
+  m.counter(nic + ".mcp.retransmissions", [this] { return retransmissions(); });
+  m.counter(nic + ".mcp.timeouts", [this] { return timeouts(); });
+  m.counter(nic + ".mcp.window_stalls", [this] { return window_stalls(); });
+  m.counter(nic + ".rel.fast_retransmits",
+            [this] { return fast_retransmits(); });
+  m.counter(nic + ".path.failovers", [this] { return path_table_->failovers(); });
+  m.counter(nic + ".path.restores", [this] { return path_table_->restores(); });
+  m.counter(nic + ".path.partitions",
+            [this] { return path_table_->partitions(); });
+  m.counter(nic + ".fc.stalls", [this] { return flow_->stalls(); });
+  m.counter(nic + ".fc.credits_consumed",
+            [this] { return flow_->credits_consumed(); });
+  m.counter(nic + ".fc.grants_rx", [this] { return flow_->grants_rx(); });
+  const std::pair<const char*, std::function<double()>> gauges[] = {
+      {".mcp.request_ring", [this] { return requests_.size(); }},
+      {".mcp.request_ring_hwm", [this] { return req_ring_hwm_; }},
+      {".mcp.rx_queue_hwm", [this] { return rx_queue_hwm_; }},
+      {".mcp.tx_in_flight", [this] { return tx_in_flight(); }},
+      {".rel.sessions", [this] { return tx_sessions_.size(); }},
+      {".rel.unreachable_peers", [this] { return unreachable_peers(); }},
+      {".path.quarantined",
+       [this] { return path_table_->quarantined_count(); }},
+      {".fc.send_credits", [this] { return flow_->total_available(); }},
+      {".fc.rx_outstanding",
+       [this] {
+         double n = 0;
+         for (const auto& [key, rc] : rx_credits_) {
+           n += static_cast<double>(rc.limit - rc.delivered);
+         }
+         return n;
+       }},
+  };
+  for (const auto& [name, fn] : gauges) m.gauge(nic + name, fn);
+  cc_->register_metrics(m, nic + ".cc");
+}
 
 std::string Mcp::comp() const { return nic_.name(); }
 
@@ -218,9 +185,8 @@ TxSession& Mcp::tx_session(hw::NodeId dst) {
     // track their health and let RTO strikes — never ECN marks or
     // congestion-inflated RTTs — rotate the session across paths.
     const hw::Fabric* fab = nic_.fabric();
-    const int nroutes = (cfg_.multipath && fab != nullptr)
-                            ? fab->route_count(nic_.node(), dst)
-                            : 1;
+    const int nroutes =
+        fab != nullptr ? fab->route_count(nic_.node(), dst) : 1;
     if (nroutes > 1) {
       path_table_->init(dst, nroutes);
       s->set_path_hooks([this, dst] { return path_table_->current(dst); },
@@ -261,46 +227,35 @@ void Mcp::register_session_metrics(hw::NodeId dst) {
   if (!session_metrics_registered_.insert(dst).second) return;
   const std::string prefix =
       nic_.name() + ".rel.peer" + std::to_string(dst) + ".";
-  const auto live = [this, dst]() -> TxSession* {
-    return find_tx_session(dst);
+  // Reads `read` off the live session, zero while there is none.
+  const auto live = [this, dst](auto read) {
+    return [this, dst, read] {
+      const TxSession* s = find_tx_session(dst);
+      return s == nullptr ? decltype(read(*s)){} : read(*s);
+    };
   };
-  metrics_->gauge(prefix + "srtt_us", [live] {
-    TxSession* s = live();
-    return s == nullptr ? 0.0 : s->srtt().to_us();
-  });
-  metrics_->gauge(prefix + "rto_us", [live] {
-    TxSession* s = live();
-    return s == nullptr ? 0.0 : s->rto().to_us();
-  });
-  metrics_->gauge(prefix + "backoff", [live] {
-    TxSession* s = live();
-    return s == nullptr ? 0.0 : static_cast<double>(s->backoff_level());
-  });
-  metrics_->gauge(prefix + "in_flight", [live] {
-    TxSession* s = live();
-    return s == nullptr ? 0.0 : static_cast<double>(s->in_flight());
-  });
-  metrics_->gauge(prefix + "unreachable", [live] {
-    TxSession* s = live();
-    return s != nullptr && s->peer_unreachable() ? 1.0 : 0.0;
-  });
-  metrics_->counter(prefix + "fast_retransmits", [live]() -> std::uint64_t {
-    TxSession* s = live();
-    return s == nullptr ? 0 : s->fast_retransmits();
-  });
-  metrics_->counter(prefix + "rtt_samples", [live]() -> std::uint64_t {
-    TxSession* s = live();
-    return s == nullptr ? 0 : s->rtt_samples();
-  });
+  using S = const TxSession&;
+  const std::pair<const char*, double (*)(S)> gauges[] = {
+      {"srtt_us", [](S s) { return s.srtt().to_us(); }},
+      {"rto_us", [](S s) { return s.rto().to_us(); }},
+      {"backoff", [](S s) { return static_cast<double>(s.backoff_level()); }},
+      {"in_flight", [](S s) { return static_cast<double>(s.in_flight()); }},
+      {"unreachable", [](S s) { return s.peer_unreachable() ? 1.0 : 0.0; }},
+  };
+  for (const auto& [name, read] : gauges) {
+    metrics_->gauge(prefix + name, live(read));
+  }
+  metrics_->counter(prefix + "fast_retransmits",
+                    live([](S s) { return s.fast_retransmits(); }));
+  metrics_->counter(prefix + "rtt_samples",
+                    live([](S s) { return s.rtt_samples(); }));
 }
 
 sim::Task<void> Mcp::announce_peer_failure(hw::NodeId dst) {
   // Revival probing starts with the verdict: if the peer (or the path)
   // comes back, the prober's answered keepalive rescinds it and the next
   // send re-establishes the session.
-  if (cfg_.revival_probe_max > 0 && probing_.insert(dst).second) {
-    eng_.spawn_daemon(revival_prober(dst));
-  }
+  spawn_prober(dst, hw::kDefaultPath);
   // All fabric paths quarantined is a different disease than a dead peer:
   // report "partitioned" so the postmortem (and the send events) say so.
   const bool partitioned = path_table_->partitioned(dst);
@@ -415,13 +370,16 @@ void Mcp::handle_peer_restart(hw::NodeId src) {
   // The peer's rx half and both credit ledgers died with it; ours restart
   // paired, so the serial-monotone grant comparison never wedges on
   // pre-crash counts the new incarnation knows nothing about.
-  rx_sessions_.erase(src);
-  ecn_echo_.erase(src);
-  for (auto it = rx_credits_.begin(); it != rx_credits_.end();) {
-    it = it->first.second == src ? rx_credits_.erase(it) : std::next(it);
-  }
+  forget_rx(src);
   flow_->reset_node(src);
   needs_syn_.insert(src);
+}
+
+void Mcp::forget_rx(hw::NodeId src) {
+  rx_sessions_.erase(src);
+  ecn_echo_.erase(src);
+  std::erase_if(rx_credits_,
+                [src](const auto& e) { return e.first.second == src; });
 }
 
 void Mcp::teardown_session(hw::NodeId peer, BclErr err) {
@@ -441,25 +399,60 @@ void Mcp::stamp_outbound(hw::Packet& p) {
   p.dst_incarnation = peer_inc(p.dst_node);
 }
 
-sim::Task<void> Mcp::send_ctrl(hw::NodeId dst, SendOp op, std::uint32_t seq,
-                               std::uint32_t dst_inc, std::uint64_t nonce,
-                               std::uint8_t path) {
+hw::Packet Mcp::header_packet(hw::NodeId dst, hw::PacketKind kind,
+                              std::uint8_t path) {
   hw::Packet p;
   p.id = next_packet_id_++;
   p.dst_node = dst;
   p.proto = kProto;
-  p.kind = hw::PacketKind::kCtrl;
+  p.kind = kind;
+  p.header_bytes = kCtrlHeaderBytes;
+  p.path_id = path_for(dst, path);
+  stamp_outbound(p);
+  return p;
+}
+
+sim::Task<void> Mcp::launch(hw::Packet p, sim::Time proc) {
+  co_await nic_.lanai().use(proc);
+  co_await nic_.transmit(std::move(p));
+}
+
+sim::Task<bool> Mcp::rx_header(const hw::Packet& p, sim::Time proc) {
+  co_await nic_.lanai().use(proc);
+  if (p.corrupted) {
+    ++stats_.crc_drops;
+    co_return false;
+  }
+  apply_grant(p);
+  apply_cc_echo(p);
+  co_return true;
+}
+
+sim::Task<void> Mcp::send_ctrl(hw::NodeId dst, SendOp op, std::uint32_t seq,
+                               std::uint32_t dst_inc, std::uint64_t nonce,
+                               std::uint8_t path) {
+  hw::Packet p = header_packet(dst, hw::PacketKind::kCtrl, path);
   p.op_flags = static_cast<std::uint16_t>(op);
   p.seq = seq;
   p.msg_id = nonce;
   p.dst_incarnation = dst_inc;
-  p.path_id = path_for(dst, path);
-  p.header_bytes = 16;
   // A fresh allowance rides the SYN-ACK so the re-established sender can
   // move before the first data packet's piggyback.
   if (op == SendOp::kSynAck) attach_grant(p);
-  co_await nic_.lanai().use(cfg_.mcp_fc_proc);
-  co_await nic_.transmit(std::move(p));
+  co_await launch(std::move(p), cfg_.mcp_fc_proc);
+}
+
+sim::Task<bool> Mcp::bounded_loop(int rounds, sim::Time interval,
+                                  bool send_first,
+                                  std::function<bool()> resolved,
+                                  std::function<sim::Task<void>()> round) {
+  for (int i = 0; i < rounds; ++i) {
+    if (!send_first) co_await eng_.sleep(interval);
+    if (crashed_ || resolved()) co_return false;
+    co_await round();
+    if (send_first) co_await eng_.sleep(interval);
+  }
+  co_return !(crashed_ || resolved());
 }
 
 sim::Task<void> Mcp::syn_daemon(hw::NodeId dst, TxSession* s) {
@@ -467,37 +460,23 @@ sim::Task<void> Mcp::syn_daemon(hw::NodeId dst, TxSession* s) {
   // (it re-draws the SYN-ACK without resetting an rx session that already
   // took post-handshake data).
   const std::uint64_t nonce = next_packet_id_++;
-  for (int attempt = 0; attempt < std::max(1, cfg_.syn_max_retries);
-       ++attempt) {
-    if (find_tx_session(dst) != s) co_return;  // replaced: not ours anymore
-    if (s->established() || s->peer_unreachable()) co_return;
-    ++stats_.syns_tx;
-    recorder_.record(
-        {eng_.now(), FlightKind::kSyn, dst, nonce, cfg_.first_seq, 0});
-    co_await send_ctrl(dst, SendOp::kSyn, cfg_.first_seq, peer_inc(dst),
-                       nonce);
-    co_await eng_.sleep(cfg_.syn_retry);
-  }
-  if (find_tx_session(dst) != s) co_return;
-  if (s->established() || s->peer_unreachable()) co_return;
+  const bool spent = co_await bounded_loop(
+      std::max(1, cfg_.syn_max_retries), cfg_.syn_retry, /*send_first=*/true,
+      [this, dst, s] {
+        // Replaced (not ours anymore), established, or dead.
+        return find_tx_session(dst) != s || s->established() ||
+               s->peer_unreachable();
+      },
+      [this, dst, nonce] {
+        ++stats_.syns_tx;
+        recorder_.record(
+            {eng_.now(), FlightKind::kSyn, dst, nonce, cfg_.first_seq, 0});
+        return send_ctrl(dst, SendOp::kSyn, cfg_.first_seq, peer_inc(dst),
+                         nonce);
+      });
   // The handshake ladder is spent: the ordinary unreachable verdict — the
   // failure hook announces it and starts the revival prober.
-  s->fail_peer();
-}
-
-sim::Task<void> Mcp::revival_prober(hw::NodeId dst) {
-  // Bounded: a sleeping prober schedules engine events, so an unbounded
-  // keepalive toward an honestly dead peer would keep run() from draining.
-  for (int i = 0; i < cfg_.revival_probe_max; ++i) {
-    co_await eng_.sleep(cfg_.revival_probe_interval);
-    if (crashed_) break;
-    TxSession* s = find_tx_session(dst);
-    if (s == nullptr || !s->peer_unreachable()) break;  // already revived
-    ++stats_.probes_tx;
-    recorder_.record({eng_.now(), FlightKind::kProbe, dst, 0, 0, 0});
-    co_await send_ctrl(dst, SendOp::kProbe, 0, hw::kAnyIncarnation);
-  }
-  probing_.erase(dst);
+  if (spent) s->fail_peer();
 }
 
 void Mcp::handle_syn(const hw::Packet& p) {
@@ -510,13 +489,8 @@ void Mcp::handle_syn(const hw::Packet& p) {
     it->second = key;
     // Fresh handshake: restart the rx half at the negotiated iss and the
     // receiver-side ledgers (the sender's halves reset at its teardown).
-    rx_sessions_.erase(p.src_node);
+    forget_rx(p.src_node);
     rx_sessions_.emplace(p.src_node, RxSession{p.seq});
-    ecn_echo_.erase(p.src_node);
-    for (auto cit = rx_credits_.begin(); cit != rx_credits_.end();) {
-      cit = cit->first.second == p.src_node ? rx_credits_.erase(cit)
-                                            : std::next(cit);
-    }
   }
   // Always answer — a lost SYN-ACK is healed by the retry drawing another.
   eng_.spawn_daemon(
@@ -565,7 +539,7 @@ bool Mcp::path_strike(hw::NodeId dst) {
   if (result == PathTable::StrikeResult::kNoChange) return false;
   // The struck path is quarantined either way; probe it so an answered
   // probe can requalify it (and rescind a partition verdict).
-  spawn_path_prober(dst, old_path);
+  spawn_prober(dst, old_path);
   if (result == PathTable::StrikeResult::kFailedOver) {
     recorder_.record({eng_.now(), FlightKind::kPathFailover, dst, 0, old_path,
                       path_table_->current(dst)});
@@ -577,65 +551,32 @@ bool Mcp::path_strike(hw::NodeId dst) {
   return false;
 }
 
-void Mcp::spawn_path_prober(hw::NodeId dst, std::uint8_t path) {
-  if (cfg_.path_probe_max <= 0) return;
-  if (path_probing_.insert({dst, path}).second) {
-    eng_.spawn_daemon(path_prober(dst, path));
+void Mcp::spawn_prober(hw::NodeId dst, std::uint8_t path) {
+  if (cfg_.probe_max > 0 && probing_.insert({dst, path}).second) {
+    eng_.spawn_daemon(prober(dst, path));
   }
 }
 
-sim::Task<void> Mcp::path_prober(hw::NodeId dst, std::uint8_t path) {
-  // Bounded like the revival prober: a sleeping daemon schedules engine
-  // events, so an unbounded walk of an honestly dead path would keep
-  // run() from draining.
-  for (int i = 0; i < cfg_.path_probe_max; ++i) {
-    co_await eng_.sleep(cfg_.path_probe_interval);
-    if (crashed_) break;
-    if (!path_table_->is_quarantined(dst, path)) break;  // requalified
-    ++stats_.path_probes_tx;
-    recorder_.record({eng_.now(), FlightKind::kProbe, dst, 0,
-                      static_cast<std::uint32_t>(path) + 1, 1});
-    co_await send_ctrl(dst, SendOp::kProbe,
-                       static_cast<std::uint32_t>(path) + 1,
-                       hw::kAnyIncarnation, 0, path);
-  }
-  path_probing_.erase({dst, path});
-}
-
-std::uint64_t Mcp::retransmissions() const {
-  std::uint64_t n = 0;
-  for (const auto& [node, s] : tx_sessions_) n += s->retransmissions();
-  return n;
-}
-
-std::uint64_t Mcp::timeouts() const {
-  std::uint64_t n = 0;
-  for (const auto& [node, s] : tx_sessions_) n += s->timeouts();
-  return n;
-}
-
-std::uint64_t Mcp::window_stalls() const {
-  std::uint64_t n = 0;
-  for (const auto& [node, s] : tx_sessions_) n += s->window_stalls();
-  return n;
-}
-
-std::uint64_t Mcp::fast_retransmits() const {
-  std::uint64_t n = 0;
-  for (const auto& [node, s] : tx_sessions_) n += s->fast_retransmits();
-  return n;
-}
-
-std::size_t Mcp::tx_in_flight() const {
-  std::size_t n = 0;
-  for (const auto& [node, s] : tx_sessions_) n += s->in_flight();
-  return n;
-}
-
-std::size_t Mcp::unreachable_peers() const {
-  std::size_t n = 0;
-  for (const auto& [node, s] : tx_sessions_) n += s->peer_unreachable() ? 1 : 0;
-  return n;
+sim::Task<void> Mcp::prober(hw::NodeId dst, std::uint8_t path) {
+  const bool revival = path == hw::kDefaultPath;
+  const std::uint32_t seq = revival ? 0 : static_cast<std::uint32_t>(path) + 1;
+  co_await bounded_loop(
+      cfg_.probe_max, cfg_.probe_interval, /*send_first=*/false,
+      [this, dst, path, revival] {
+        // Revived (the session was torn down or re-established) or
+        // requalified.
+        if (!revival) return !path_table_->is_quarantined(dst, path);
+        const TxSession* s = find_tx_session(dst);
+        return s == nullptr || !s->peer_unreachable();
+      },
+      [this, dst, path, revival, seq] {
+        ++(revival ? stats_.probes_tx : stats_.path_probes_tx);
+        recorder_.record(
+            {eng_.now(), FlightKind::kProbe, dst, 0, seq, revival ? 0u : 1u});
+        return send_ctrl(dst, SendOp::kProbe, seq, hw::kAnyIncarnation, 0,
+                         path);
+      });
+  probing_.erase({dst, path});
 }
 
 std::vector<Mcp::SessionSnapshot> Mcp::session_snapshot() const {
@@ -797,9 +738,7 @@ sim::Task<void> Mcp::rx_pump() {
     if (!fence_incarnation(p)) continue;
     switch (p.kind) {
       case hw::PacketKind::kAck: {
-        co_await nic_.lanai().use(cfg_.mcp_ack_proc);
-        apply_grant(p);
-        apply_cc_echo(p);
+        if (!co_await rx_header(p, cfg_.mcp_ack_proc)) break;
         TxSession* s = find_tx_session(p.src_node);
         if (s == nullptr) {
           ++stats_.stray_acks;  // late/stray ack: no session, don't make one
@@ -818,13 +757,7 @@ sim::Task<void> Mcp::rx_pump() {
       case hw::PacketKind::kNack: {
         // Receiver-not-ready: the peer's pool was full.  Not a loss signal
         // — hand the session the hold hint instead of a timeout.
-        co_await nic_.lanai().use(cfg_.mcp_ack_proc);
-        if (p.corrupted) {
-          ++stats_.crc_drops;
-          break;
-        }
-        apply_grant(p);
-        apply_cc_echo(p);
+        if (!co_await rx_header(p, cfg_.mcp_ack_proc)) break;
         ++stats_.rnr_nacks_rx;
         if (TxSession* s = find_tx_session(p.src_node)) {
           s->on_rnr(p.ack, sim::Time::us(static_cast<double>(p.nack_hint_us)));
@@ -840,13 +773,7 @@ sim::Task<void> Mcp::rx_pump() {
           // Session-less control packets: idempotent cumulative state
           // carriers and handshake/revival traffic, never sequenced
           // through the rx session.
-          co_await nic_.lanai().use(cfg_.mcp_fc_proc);
-          if (p.corrupted) {
-            ++stats_.crc_drops;
-            break;
-          }
-          apply_grant(p);
-          apply_cc_echo(p);
+          if (!co_await rx_header(p, cfg_.mcp_fc_proc)) break;
           if (op == SendOp::kFcProbe) {
             ++stats_.fc_probes_rx;
             if (cfg_.flow_control) {
@@ -980,15 +907,7 @@ sim::Task<bool> Mcp::handle_data(hw::Packet p) {
       }
       const int slot = sys.free_slots.front();
       sys.free_slots.pop_front();
-      if (!p.payload.empty()) {
-        auto segs = slice_segments(
-            sys.slots[static_cast<std::size_t>(slot)], 0, p.payload.size());
-        auto span = trace_ ? trace_->span(comp(), "nic-dma-nic-to-host", p.msg_id)
-                           : sim::Trace::Span{};
-        co_await nic_.dma_scatter(p.payload, std::move(segs),
-                                  cfg_.dma_lead_bytes);
-        if (m_dma_rx_bytes_) m_dma_rx_bytes_->add(p.payload.size());
-      }
+      co_await scatter(p, sys.slots[static_cast<std::size_t>(slot)], 0);
       ++port->messages_received;
       co_await deliver_recv_event(
           *port, RecvEvent{p.msg_id, src, ch, p.payload.size(), slot});
@@ -1004,14 +923,7 @@ sim::Task<bool> Mcp::handle_data(hw::Packet p) {
         ++port->not_posted_drops;
         co_return true;
       }
-      if (!p.payload.empty()) {
-        auto segs = slice_segments(st.segs, p.offset, p.payload.size());
-        auto span = trace_ ? trace_->span(comp(), "nic-dma-nic-to-host", p.msg_id)
-                           : sim::Trace::Span{};
-        co_await nic_.dma_scatter(p.payload, std::move(segs),
-                                  cfg_.dma_lead_bytes);
-        if (m_dma_rx_bytes_) m_dma_rx_bytes_->add(p.payload.size());
-      }
+      co_await scatter(p, st.segs, p.offset);
       if (p.frag_index + 1 == p.frag_count) {
         st.posted = false;  // rendezvous consumed
         ++port->messages_received;
@@ -1033,17 +945,24 @@ sim::Task<bool> Mcp::handle_data(hw::Packet p) {
         ++port->rma_errors;
         co_return true;
       }
-      if (!p.payload.empty()) {
-        auto segs = slice_segments(st.segs, p.offset, p.payload.size());
-        co_await nic_.dma_scatter(p.payload, std::move(segs),
-                                  cfg_.dma_lead_bytes);
-        if (m_dma_rx_bytes_) m_dma_rx_bytes_->add(p.payload.size());
-      }
+      co_await scatter(p, st.segs, p.offset, /*traced=*/false);
       // RMA writes complete silently at the target.
       break;
     }
   }
   co_return true;
+}
+
+sim::Task<void> Mcp::scatter(const hw::Packet& p,
+                             const std::vector<hw::PhysSegment>& segs,
+                             std::uint64_t off, bool traced) {
+  if (p.payload.empty()) co_return;
+  auto dst = slice_segments(segs, off, p.payload.size());
+  auto span = traced && trace_
+                  ? trace_->span(comp(), "nic-dma-nic-to-host", p.msg_id)
+                  : sim::Trace::Span{};
+  co_await nic_.dma_scatter(p.payload, std::move(dst), cfg_.dma_lead_bytes);
+  if (m_dma_rx_bytes_) m_dma_rx_bytes_->add(p.payload.size());
 }
 
 sim::Task<void> Mcp::handle_rma_read(const hw::Packet& p) {
@@ -1079,39 +998,23 @@ sim::Task<void> Mcp::handle_rma_read(const hw::Packet& p) {
 sim::Task<void> Mcp::send_ack(hw::NodeId dst, std::uint32_t ack,
                               sim::Time echo, std::uint8_t path) {
   ++stats_.acks_sent;
-  hw::Packet p;
-  p.id = next_packet_id_++;
-  p.dst_node = dst;
-  p.proto = kProto;
-  p.kind = hw::PacketKind::kAck;
+  hw::Packet p = header_packet(dst, hw::PacketKind::kAck, path);
   p.ack = ack;
   p.echo_stamp = echo;  // RTT timestamp echo (see Packet::tx_stamp)
-  p.path_id = path_for(dst, path);
-  p.header_bytes = 16;
   attach_grant(p);  // the main piggyback path for credit return
   attach_cc_echo(p);
-  stamp_outbound(p);
-  co_await nic_.lanai().use(cfg_.mcp_ack_proc);
-  co_await nic_.transmit(std::move(p));
+  co_await launch(std::move(p), cfg_.mcp_ack_proc);
 }
 
 sim::Task<void> Mcp::send_rnr(hw::NodeId dst, std::uint32_t ack,
                               std::uint8_t path) {
   ++stats_.rnr_nacks_tx;
-  hw::Packet p;
-  p.id = next_packet_id_++;
-  p.dst_node = dst;
-  p.proto = kProto;
-  p.kind = hw::PacketKind::kNack;
+  hw::Packet p = header_packet(dst, hw::PacketKind::kNack, path);
   p.ack = ack;  // cumulative: everything the pool did take stays acked
   p.nack_hint_us = static_cast<std::uint32_t>(cfg_.fc_rnr_backoff.to_us());
-  p.path_id = path_for(dst, path);
-  p.header_bytes = 16;
   attach_grant(p);  // current limit aboard: heals any lost earlier grant
   attach_cc_echo(p);
-  stamp_outbound(p);
-  co_await nic_.lanai().use(cfg_.mcp_ack_proc);
-  co_await nic_.transmit(std::move(p));
+  co_await launch(std::move(p), cfg_.mcp_ack_proc);
 }
 
 Mcp::RxCredit& Mcp::rx_credit(std::uint32_t port_no, hw::NodeId src) {
@@ -1253,21 +1156,14 @@ sim::Task<void> Mcp::send_fc_update(std::uint32_t port_no, hw::NodeId dst) {
   // Standalone updates launch through the pacer too: a starved sender's
   // credit top-ups must not themselves feed a congested path.  Pace before
   // reading the limit so the grant aboard is as fresh as possible.
-  co_await cc_->pace(dst, 16);
+  co_await cc_->pace(dst, kCtrlHeaderBytes);
   ++stats_.fc_updates_tx;
-  hw::Packet p;
-  p.id = next_packet_id_++;
-  p.dst_node = dst;
-  p.proto = kProto;
-  p.kind = hw::PacketKind::kCtrl;
+  hw::Packet p = header_packet(dst, hw::PacketKind::kCtrl);
   p.op_flags = static_cast<std::uint16_t>(SendOp::kFcUpdate);
   p.credit_port = static_cast<std::uint16_t>(port_no);
   p.credit_limit = it->second.limit;
-  p.header_bytes = 16;
   attach_cc_echo(p);
-  stamp_outbound(p);
-  co_await nic_.lanai().use(cfg_.mcp_fc_proc);
-  co_await nic_.transmit(std::move(p));
+  co_await launch(std::move(p), cfg_.mcp_fc_proc);
 }
 
 void Mcp::fc_probe(PortId dst) {
@@ -1276,19 +1172,12 @@ void Mcp::fc_probe(PortId dst) {
 }
 
 sim::Task<void> Mcp::send_fc_probe(PortId dst) {
-  co_await cc_->pace(dst.node, 16);
+  co_await cc_->pace(dst.node, kCtrlHeaderBytes);
   ++stats_.fc_probes_tx;
-  hw::Packet p;
-  p.id = next_packet_id_++;
-  p.dst_node = dst.node;
+  hw::Packet p = header_packet(dst.node, hw::PacketKind::kCtrl);
   p.dst_port = dst.port;
-  p.proto = kProto;
-  p.kind = hw::PacketKind::kCtrl;
   p.op_flags = static_cast<std::uint16_t>(SendOp::kFcProbe);
-  p.header_bytes = 16;
-  stamp_outbound(p);
-  co_await nic_.lanai().use(cfg_.mcp_fc_proc);
-  co_await nic_.transmit(std::move(p));
+  co_await launch(std::move(p), cfg_.mcp_fc_proc);
 }
 
 sim::Task<void> Mcp::deliver_recv_event(Port& port, RecvEvent ev) {

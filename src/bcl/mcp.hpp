@@ -169,12 +169,23 @@ class Mcp {
     }
     return out;
   }
-  std::uint64_t retransmissions() const;
-  std::uint64_t timeouts() const;
-  std::uint64_t window_stalls() const;
-  std::uint64_t fast_retransmits() const;
-  std::size_t tx_in_flight() const;
-  std::size_t unreachable_peers() const;
+  // Aggregates over the live tx sessions.
+  std::uint64_t retransmissions() const {
+    return sum_sessions(&TxSession::retransmissions);
+  }
+  std::uint64_t timeouts() const { return sum_sessions(&TxSession::timeouts); }
+  std::uint64_t window_stalls() const {
+    return sum_sessions(&TxSession::window_stalls);
+  }
+  std::uint64_t fast_retransmits() const {
+    return sum_sessions(&TxSession::fast_retransmits);
+  }
+  std::size_t tx_in_flight() const {
+    return sum_sessions(&TxSession::in_flight);
+  }
+  std::size_t unreachable_peers() const {
+    return sum_sessions(&TxSession::peer_unreachable);
+  }
 
   // -- flight recorder / post-mortem -----------------------------------------
   // Fired when this NIC diagnoses a failure worth a post-mortem: a peer
@@ -230,6 +241,21 @@ class Mcp {
   // instead of acking a silently discarded message.
   sim::Task<bool> handle_data(hw::Packet p);
   sim::Task<void> handle_rma_read(const hw::Packet& p);
+  // DMAs p's payload into segs[off, off + payload) in host memory.
+  sim::Task<void> scatter(const hw::Packet& p,
+                          const std::vector<hw::PhysSegment>& segs,
+                          std::uint64_t off, bool traced = true);
+  // The one control-packet path.  Every header-only packet the MCP sends
+  // (ack, RNR-NACK, credit update/probe, handshake and probe control) is
+  // built by header_packet (packet id, path_for, dst incarnation) and sent
+  // by launch (`proc` of LANai work, then the wire); the sender sets only
+  // its own fields in between.  On receipt, rx_header charges `proc`,
+  // drops a CRC failure (false), and applies the grant and echo aboard.
+  static constexpr std::size_t kCtrlHeaderBytes = 16;
+  hw::Packet header_packet(hw::NodeId dst, hw::PacketKind kind,
+                           std::uint8_t path = hw::kDefaultPath);
+  sim::Task<void> launch(hw::Packet p, sim::Time proc);
+  sim::Task<bool> rx_header(const hw::Packet& p, sim::Time proc);
   sim::Task<void> send_ack(hw::NodeId dst, std::uint32_t ack,
                            sim::Time echo = sim::Time::zero(),
                            std::uint8_t path = hw::kDefaultPath);
@@ -268,6 +294,7 @@ class Mcp {
   // every local port's send-event queue, and start the bounded revival
   // prober that can later rescind the verdict.
   sim::Task<void> announce_peer_failure(hw::NodeId dst);
+  void register_metrics(sim::MetricRegistry& m);
   void register_session_metrics(hw::NodeId dst);
 
   // -- crash–restart internals -------------------------------------------------
@@ -283,6 +310,8 @@ class Mcp {
   // its rx session / rx ledgers / echo window, reset the sender-side credit
   // ledgers, and mark the peer for a SYN handshake on the next session.
   void handle_peer_restart(hw::NodeId src);
+  // Drops the receive half toward src: rx session, echo window, ledgers.
+  void forget_rx(hw::NodeId src);
   // Poison the session with `err` and move it to the graveyard (its timer
   // daemons may still be parked in a sleep and must wake on a live object).
   void teardown_session(hw::NodeId peer, BclErr err);
@@ -296,12 +325,18 @@ class Mcp {
   sim::Task<void> send_ctrl(hw::NodeId dst, SendOp op, std::uint32_t seq,
                             std::uint32_t dst_inc, std::uint64_t nonce = 0,
                             std::uint8_t path = hw::kDefaultPath);
+  // The one bounded background loop: up to `rounds` sends of `round`,
+  // `interval` apart, stopping once `resolved` holds or the MCP crashed.
+  // The SYN ladder sends first; the probers sleep first.  True means it
+  // ran out unresolved.  Bounded because a sleeping daemon schedules
+  // engine events: a dead peer or path must not keep run() from draining.
+  sim::Task<bool> bounded_loop(int rounds, sim::Time interval, bool send_first,
+                               std::function<bool()> resolved,
+                               std::function<sim::Task<void>()> round);
   // Retries the SYN for `s` (the session it was spawned for — a replaced
   // session runs its own daemon) until establishment, teardown, or ladder
   // exhaustion, which draws the ordinary unreachable verdict.
   sim::Task<void> syn_daemon(hw::NodeId dst, TxSession* s);
-  // Bounded low-rate keepalive toward an unreachable peer.
-  sim::Task<void> revival_prober(hw::NodeId dst);
   void handle_syn(const hw::Packet& p);
   void handle_syn_ack(const hw::Packet& p);
   void handle_probe_ack(const hw::Packet& p);
@@ -317,12 +352,19 @@ class Mcp {
   // table rotated to a fresh path (the session resets its escalation and
   // retries eagerly on the new wire).
   bool path_strike(hw::NodeId dst);
-  void spawn_path_prober(hw::NodeId dst, std::uint8_t path);
-  // Bounded background prober for one quarantined (dst, path): sends a
-  // kProbe with seq = path+1 pinned onto that path every
-  // path_probe_interval, up to path_probe_max rounds.  An answered probe
-  // (kProbeAck echoing the seq) requalifies the path via handle_probe_ack.
-  sim::Task<void> path_prober(hw::NodeId dst, std::uint8_t path);
+  // Starts the prober for (dst, path) unless one is running.  kDefaultPath
+  // is the revival keepalive toward an unreachable peer (kProbe seq 0); a
+  // real path is a quarantined one (seq path+1, pinned onto it).  The
+  // kProbeAck echoing the seq rescinds the verdict or restores the path.
+  void spawn_prober(hw::NodeId dst, std::uint8_t path);
+  sim::Task<void> prober(hw::NodeId dst, std::uint8_t path);
+
+  template <typename R>
+  std::uint64_t sum_sessions(R (TxSession::*read)() const) const {
+    std::uint64_t n = 0;
+    for (const auto& [node, s] : tx_sessions_) n += (s.get()->*read)();
+    return n;
+  }
 
   sim::Engine& eng_;
   hw::Nic& nic_;
@@ -369,9 +411,8 @@ class Mcp {
   // Peers whose next tx session must open with a SYN handshake (their
   // restart was detected, or a revival probe was answered).
   std::set<hw::NodeId> needs_syn_;
-  std::set<hw::NodeId> probing_;  // revival prober active toward these
-  // (dst, path) pairs with an active quarantined-path prober daemon.
-  std::set<std::pair<hw::NodeId, std::uint8_t>> path_probing_;
+  // (dst, path) pairs with an active prober (path kDefaultPath: revival).
+  std::set<std::pair<hw::NodeId, std::uint8_t>> probing_;
   // Rate limiter for stale-dst restart notices, per source.
   std::map<hw::NodeId, sim::Time> last_restart_notice_;
   // Receiver-side handshake idempotency: the (src incarnation, nonce) of

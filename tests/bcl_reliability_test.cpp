@@ -422,6 +422,58 @@ TEST(BclReliability, SequenceWraparoundSurvivesCorruption) {
 }
 
 // ---------------------------------------------------------------------------
+// Corrupted acks fail their CRC like any other packet.  While every packet
+// on the receiver's uplink is corrupted, the sender must drop the acks and
+// retransmit rather than release its window on them; once the link heals,
+// every message arrives intact and in order.
+// ---------------------------------------------------------------------------
+TEST(BclReliability, CorruptedAcksAreDroppedNotHonoured) {
+  BclCluster c{lossy_cluster(0.0)};
+  myrinet(c).set_host_link_corrupt_prob(1, 1.0);  // every ack node 1 sends
+  auto& tx = c.open_endpoint(0);
+  auto& rx = c.open_endpoint(1);
+  constexpr unsigned kMsgs = 20;
+  constexpr std::size_t kLen = 256;
+  c.engine().spawn([](BclCluster& c) -> Task<void> {
+    co_await c.engine().sleep(Time::us(400));
+    myrinet(c).set_host_link_corrupt_prob(1, 0.0);
+  }(c));
+  c.engine().spawn([](Endpoint& tx, PortId dst) -> Task<void> {
+    auto buf = tx.process().alloc(kLen);
+    for (unsigned i = 0; i < kMsgs; ++i) {
+      tx.process().fill_pattern(buf, i);
+      auto r = co_await tx.send_system(dst, buf, kLen);
+      EXPECT_EQ(r.err, BclErr::kOk);
+      EXPECT_TRUE((co_await tx.wait_send()).ok);
+    }
+  }(tx, rx.id()));
+  std::vector<std::vector<std::byte>> got;
+  c.engine().spawn([](Endpoint& rx,
+                      std::vector<std::vector<std::byte>>& got) -> Task<void> {
+    for (unsigned i = 0; i < kMsgs; ++i) {
+      RecvEvent ev = co_await rx.wait_recv();
+      got.push_back(co_await rx.copy_out_system(ev));
+    }
+  }(rx, got));
+  c.engine().run();
+
+  // Every message once, in order, byte for byte.
+  ASSERT_EQ(got.size(), static_cast<std::size_t>(kMsgs));
+  auto want = tx.process().alloc(kLen);
+  std::vector<std::byte> bytes(kLen);
+  for (unsigned i = 0; i < kMsgs; ++i) {
+    tx.process().fill_pattern(want, i);
+    tx.process().peek(want, 0, bytes);
+    EXPECT_EQ(got[i], bytes) << "msg " << i;
+  }
+  const auto& mcp = c.node(0).mcp();
+  EXPECT_GT(mcp.stats().crc_drops, 0u);  // the corrupt acks were refused
+  EXPECT_GT(mcp.retransmissions(), 0u);
+  EXPECT_EQ(mcp.stats().peer_failures, 0u);
+  EXPECT_EQ(mcp.tx_in_flight(), 0u);
+}
+
+// ---------------------------------------------------------------------------
 // Stray acks must not materialize sessions.
 // ---------------------------------------------------------------------------
 

@@ -7,8 +7,9 @@
 // never trigger a failover); a spine killed mid-stream forcing a rotation
 // that completes every send with no unreachable verdict; all spines dead
 // yielding the distinct "partitioned" verdict with a full per-path strike
-// table in the postmortem; and the malformed-route flight-recorder hook's
-// rate limit.
+// table in the postmortem; a dead spine drawing exactly probe_max path
+// probes; credit probes following a failover; and the malformed-route
+// flight-recorder hook's rate limit.
 #include <gtest/gtest.h>
 
 #include <cstddef>
@@ -413,6 +414,88 @@ TEST(PathFailover, AllSpinesDeadYieldsPartitionedVerdict) {
   EXPECT_NE(json.find("\"reason\": \"partitioned\""), std::string::npos);
   EXPECT_NE(json.find("\"path_table\": ["), std::string::npos);
   EXPECT_NE(json.find("\"quarantined\": true"), std::string::npos);
+}
+
+// ---------------------------------------------------------------------------
+// A spine that stays dead: the quarantined-path prober is bounded.  It
+// draws exactly probe_max probes on the dead (dst, path), none of them is
+// answered, and run() drains afterwards.
+// ---------------------------------------------------------------------------
+TEST(PathFailover, DeadSpineDrawsExactlyProbeMaxPathProbes) {
+  constexpr int kMsgs = 5;
+  bcl::ClusterConfig cfg;
+  cfg.nodes = 16;
+  cfg.node.mem_bytes = 8u << 20;
+  cfg.cost.rto = Time::us(80);
+  cfg.cost.e2e_completion = true;
+  bcl::BclCluster c{cfg};
+  auto& fab = myrinet(c);
+  // 0 -> 12 starts on spine_for(12) = 0, dead for the whole run.
+  fab.fail_switch(fab.spine_switch_index(0));
+  auto& tx = c.open_endpoint(0);
+  auto& rx = c.open_endpoint(12);
+  int delivered = 0;
+  c.engine().spawn_daemon(drain_rx(rx, delivered));
+
+  std::vector<bcl::BclErr> errs;
+  c.engine().spawn(send_stream(tx, rx.id(), kMsgs, errs));
+  c.engine().run();
+
+  EXPECT_EQ(delivered, kMsgs);
+  for (const auto e : errs) EXPECT_EQ(e, bcl::BclErr::kOk);
+  EXPECT_EQ(c.engine().pending_events(), 0u);
+  const auto& mcp = c.node(0).mcp();
+  EXPECT_EQ(mcp.path_table().failovers(), 1u);
+  EXPECT_TRUE(mcp.path_table().is_quarantined(12, 0));
+  EXPECT_EQ(mcp.path_table().quarantined_count(), 1u);
+  EXPECT_EQ(mcp.path_table().restores(), 0u);
+  EXPECT_EQ(mcp.stats().path_probes_tx,
+            static_cast<std::uint64_t>(cfg.cost.probe_max));
+  EXPECT_EQ(mcp.stats().probes_tx, 0u);  // no revival keepalive: peer is up
+  EXPECT_EQ(c.node(12).mcp().stats().path_probes_rx, 0u);
+}
+
+// ---------------------------------------------------------------------------
+// Credit probes follow failover.  After the sender's spine dies and its data
+// fails over, the sender runs out of credits (four pool slots the receiver
+// never releases).  Its kFcProbe packets must ride the failed-over path and
+// reach the receiver; on the dead spine they would vanish.
+// ---------------------------------------------------------------------------
+TEST(PathFailover, CreditProbesFollowFailover) {
+  constexpr int kSlots = 4;
+  bcl::ClusterConfig cfg;
+  cfg.nodes = 16;
+  cfg.node.mem_bytes = 8u << 20;
+  cfg.cost.rto = Time::us(80);
+  cfg.cost.e2e_completion = true;  // completion = acked, so failover is done
+  cfg.cost.sys_slots = kSlots;
+  bcl::BclCluster c{cfg};
+  auto& fab = myrinet(c);
+  fab.fail_switch(fab.spine_switch_index(0));  // 0 -> 12's default spine
+  auto& tx = c.open_endpoint(0);
+  auto& rx = c.open_endpoint(12);  // never drained: its pool stays full
+
+  std::vector<bcl::BclErr> errs;
+  c.engine().spawn(send_stream(tx, rx.id(), kSlots, errs));
+  c.engine().run();
+  ASSERT_EQ(errs.size(), static_cast<std::size_t>(kSlots));
+  for (const auto e : errs) EXPECT_EQ(e, bcl::BclErr::kOk);
+  ASSERT_GE(c.node(0).mcp().path_table().failovers(), 1u);
+
+  // Out of credits now: the next send stalls, probes, and gives up.
+  bcl::BclErr stalled = bcl::BclErr::kOk;
+  c.engine().spawn([](bcl::Endpoint& tx, bcl::PortId dst,
+                      bcl::BclErr& err) -> Task<void> {
+    auto buf = tx.process().alloc(kBytes);
+    auto r = co_await tx.send_deadline(dst, bcl::ChannelRef{}, buf, kBytes,
+                                       Time::ms(2));
+    err = r.err;
+  }(tx, rx.id(), stalled));
+  c.engine().run();
+
+  EXPECT_EQ(stalled, bcl::BclErr::kWouldBlock);
+  EXPECT_GT(c.node(0).mcp().stats().fc_probes_tx, 0u);
+  EXPECT_GT(c.node(12).mcp().stats().fc_probes_rx, 0u);
 }
 
 // ---------------------------------------------------------------------------

@@ -4,7 +4,8 @@
 // send exactly once (kPeerRestarted, never lost, never duplicated across
 // incarnations) and re-establish sessions behind the incarnation fence; a
 // peer declared unreachable must be rescinded when a revival probe is
-// answered after its node comes back.
+// answered after its node comes back, and a peer that never comes back
+// draws exactly probe_max revival probes.
 #include <gtest/gtest.h>
 
 #include <cstddef>
@@ -277,6 +278,63 @@ TEST(Recovery, AnsweredRevivalProbeRescindsUnreachableVerdict) {
   EXPECT_GE(c.node(1).mcp().stats().probes_rx, 1u);
   EXPECT_GE(c.node(0).mcp().stats().recovered_peers, 1u);
   EXPECT_EQ(c.node(1).mcp().stats().restarts, 1u);
+}
+
+// ---------------------------------------------------------------------------
+// The revival keepalive is bounded: toward a peer that fail-stops and is
+// never reset, the prober draws exactly probe_max probes, none answered,
+// and run() drains afterwards instead of probing forever.
+// ---------------------------------------------------------------------------
+TEST(Recovery, RevivalProbesStopAtProbeMaxForAPeerThatNeverReturns) {
+  bcl::ClusterConfig cfg;
+  cfg.nodes = 2;
+  cfg.node.mem_bytes = 8u << 20;
+  cfg.cost.rto = Time::us(60);
+  cfg.cost.max_retries = 3;
+  cfg.cost.e2e_completion = true;
+  bcl::BclCluster c{cfg};
+  auto& tx = c.open_endpoint(0);
+  auto& rx = c.open_endpoint(1);
+
+  std::vector<int> delivered(2, 0);
+  c.engine().spawn_daemon(count_deliveries(rx, delivered));
+
+  std::vector<bcl::BclErr> errs;
+  c.engine().spawn([](bcl::BclCluster& c, bcl::Endpoint& tx, bcl::PortId dst,
+                      std::vector<bcl::BclErr>& errs) -> Task<void> {
+    auto buf = tx.process().alloc(kBytes);
+    tx.process().fill_pattern(buf, 3);
+    for (std::uint32_t uid = 0; uid < 2; ++uid) {
+      if (uid == 1) c.node(1).mcp().crash();  // dark for good
+      encode_uid(tx.process(), buf, uid);
+      auto r = co_await tx.send_system(dst, buf, kBytes);
+      if (r.err != bcl::BclErr::kOk) {
+        errs.push_back(r.err);
+        continue;
+      }
+      for (;;) {
+        bcl::SendEvent ev = co_await tx.wait_send();
+        if (ev.msg_id == r.value) {
+          errs.push_back(ev.err);
+          break;
+        }
+      }
+    }
+  }(c, tx, rx.id(), errs));
+  c.engine().run();
+
+  ASSERT_EQ(errs.size(), 2u);
+  EXPECT_EQ(errs[0], bcl::BclErr::kOk);
+  EXPECT_EQ(errs[1], bcl::BclErr::kPeerUnreachable);
+  EXPECT_EQ(delivered[0], 1);
+  EXPECT_EQ(delivered[1], 0);
+  EXPECT_EQ(c.engine().pending_events(), 0u);
+  const auto& st = c.node(0).mcp().stats();
+  EXPECT_EQ(st.peer_failures, 1u);
+  EXPECT_EQ(st.probes_tx, static_cast<std::uint64_t>(cfg.cost.probe_max));
+  EXPECT_EQ(st.path_probes_tx, 0u);
+  EXPECT_EQ(c.node(1).mcp().stats().probes_rx, 0u);
+  EXPECT_EQ(c.node(0).mcp().unreachable_peers(), 1u);
 }
 
 // ---------------------------------------------------------------------------
