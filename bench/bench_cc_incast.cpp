@@ -67,7 +67,6 @@ Result run_incast(int senders, std::uint64_t per_sender,
                   const IncastOpts& opts = {}) {
   bcl::ClusterConfig cfg;
   cfg.nodes = static_cast<std::uint32_t>(senders) + 1;
-  cfg.node.mem_bytes = 8u << 20;
   cfg.cost.cc_proportional = opts.proportional;
   if (opts.mesh) cfg.fabric.kind = hw::FabricKind::kNwrcMesh;
   bcl::BclCluster c{cfg};

@@ -185,7 +185,6 @@ int run(std::uint64_t seed, std::uint32_t msgs_per_node) {
   constexpr std::uint32_t kNodes = 8;
   bcl::ClusterConfig cfg;
   cfg.nodes = kNodes;
-  cfg.node.mem_bytes = 8u << 20;
   cfg.cost.rto = Time::us(80);
   cfg.cost.max_retries = 8;
   cfg.cost.e2e_completion = true;  // completion == cumulative ack, so a

@@ -10,6 +10,8 @@
 // suitable for plotting the scaling series.
 //
 //   --smoke    quick sanitizer-friendly run (small sweep, few iterations)
+#include <sys/resource.h>
+
 #include <cstdio>
 #include <cstring>
 #include <string>
@@ -83,7 +85,6 @@ void dump_postmortem(cluster::World& w, const char* kase,
 Meas run_case(std::uint32_t nodes, bool nic, int iters) {
   cluster::WorldConfig cfg;
   cfg.cluster.nodes = nodes;
-  cfg.cluster.node.mem_bytes = 16u << 20;
   cfg.mpi.nic_collectives = nic;
   // The two-level Myrinet fabric tops out at 32 nodes; larger sweeps run
   // on the nwrc mesh (same NIC/MCP model, different interconnect).
@@ -163,7 +164,7 @@ int main(int argc, char** argv) {
 
   const std::vector<std::uint32_t> sweep =
       smoke ? std::vector<std::uint32_t>{2, 4, 8}
-            : std::vector<std::uint32_t>{2, 4, 8, 16, 32, 64};
+            : std::vector<std::uint32_t>{2, 4, 8, 16, 32, 64, 256};
   const int iters = smoke ? 3 : 8;
 
   std::printf("%5s | %21s | %21s | %21s\n", "", "barrier us", "bcast 8K us",
@@ -194,10 +195,16 @@ int main(int argc, char** argv) {
   }
 
   if (!smoke) {
-    // sweep = {2,4,8,16,32,64}: index 3 is 16 nodes, index 5 is 64.
+    rusage ru{};
+    getrusage(RUSAGE_SELF, &ru);
+    std::printf("\npeak RSS after sweep: %.1f MB\n", ru.ru_maxrss / 1024.0);
+    // sweep = {2,4,8,16,32,64,256}: index 3 is 16 nodes, index 5 is 64,
+    // index 6 is 256.
     const Meas& host16 = rows[3].first;
     const Meas& nic16 = rows[3].second;
     const Meas& nic64 = rows[5].second;
+    const Meas& host256 = rows[6].first;
+    const Meas& nic256 = rows[6].second;
     const double speedup16 = host16.barrier_us / nic16.barrier_us;
     std::printf("\nchecks:\n");
     // Measures 2.0x since the release path completes asynchronously: the
@@ -230,6 +237,11 @@ int main(int argc, char** argv) {
     std::printf("  nic reduce beats host at 16: %.2fx (>1x)   %s\n",
                 host16.reduce_us / nic16.reduce_us,
                 pass(nic16.reduce_us < host16.reduce_us));
+    // Only the barrier is gated at 256 nodes: on the 16x16 mesh the NIC
+    // bcast and reduce trees lose to the host algorithms (see ROADMAP).
+    std::printf("  nic barrier beats host at 256: %.2fx (>1x) %s\n",
+                host256.barrier_us / nic256.barrier_us,
+                pass(nic256.barrier_us < host256.barrier_us));
   }
   if (any_abort) {
     std::printf("\nexiting %d: at least one case aborted with a diagnosed "

@@ -162,7 +162,6 @@ FailoverResult run_failover(std::uint64_t seed, bool smoke) {
   constexpr std::uint32_t kNodes = 16;
   bcl::ClusterConfig cfg;
   cfg.nodes = kNodes;
-  cfg.node.mem_bytes = 8u << 20;
   cfg.cost.rto = Time::us(100);
   cfg.cost.e2e_completion = true;  // completion == cumulative ack, so the
                                    // kOk verdict proves end-to-end arrival
@@ -282,7 +281,6 @@ PartitionResult run_partition() {
   constexpr hw::NodeId kDst = 12;  // cross-leaf from node 0 at 16 nodes
   bcl::ClusterConfig cfg;
   cfg.nodes = 16;
-  cfg.node.mem_bytes = 8u << 20;
   cfg.cost.rto = Time::us(60);
   cfg.cost.max_retries = 6;
   cfg.cost.e2e_completion = true;

@@ -42,7 +42,6 @@ struct Point {
 Point slow_receiver_point(double drain_us, bool fc, std::uint64_t msgs) {
   bcl::ClusterConfig cfg;
   cfg.nodes = 2;
-  cfg.node.mem_bytes = 8u << 20;
   cfg.cost.sys_slots = 16;
   cfg.cost.fc_initial_credits = 16;
   cfg.cost.flow_control = fc;
@@ -94,7 +93,6 @@ Point slow_receiver_point(double drain_us, bool fc, std::uint64_t msgs) {
 Point incast_point(bool fc, int senders, std::uint64_t per_sender) {
   bcl::ClusterConfig cfg;
   cfg.nodes = static_cast<std::uint32_t>(senders) + 1;
-  cfg.node.mem_bytes = 8u << 20;
   cfg.cost.sys_slots = 16;
   cfg.cost.fc_initial_credits = 16;
   cfg.cost.flow_control = fc;

@@ -2,12 +2,17 @@
 //
 // All message payloads ultimately live here; DMA engines and memcpy models
 // move actual bytes so the test suite can assert end-to-end integrity.
+//
+// The store is one anonymous private mapping (MAP_NORESERVE), so a frame
+// costs host memory only once it is written and an untouched frame reads
+// as zeros.  The allocator always hands out the lowest free frame (and the
+// lowest first-fit run): physical addresses decide how buffers split into
+// scatter/gather segments, so simulated costs depend on that order.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
 #include <optional>
-#include <set>
 #include <span>
 #include <vector>
 
@@ -26,10 +31,13 @@ struct PhysSegment {
 class HostMemory {
  public:
   explicit HostMemory(std::size_t bytes);
+  ~HostMemory();
+  HostMemory(const HostMemory&) = delete;
+  HostMemory& operator=(const HostMemory&) = delete;
 
-  std::size_t size() const { return store_.size(); }
-  std::size_t page_count() const { return store_.size() / kPageSize; }
-  std::size_t free_pages() const { return free_frames_.size(); }
+  std::size_t size() const { return size_; }
+  std::size_t page_count() const { return size_ / kPageSize; }
+  std::size_t free_pages() const { return free_count_; }
 
   // Page-frame allocation (frame index, not address).
   std::optional<std::uint64_t> alloc_frame();
@@ -47,9 +55,17 @@ class HostMemory {
 
  private:
   void check(PhysAddr addr, std::size_t len) const;
+  // First frame at or after `from` that is free (or, with free=false,
+  // allocated); an index >= page_count() when there is none.
+  std::uint64_t next(std::uint64_t from, bool free) const;
 
-  std::vector<std::byte> store_;
-  std::set<std::uint64_t> free_frames_;  // ordered, enables contiguity scans
+  std::byte* store_ = nullptr;
+  std::size_t size_ = 0;
+  // Bit f set <=> frame f is free.  The bits past the last frame are set
+  // too; scans discard any index >= page_count().
+  std::vector<std::uint64_t> free_bits_;
+  std::size_t free_count_ = 0;
+  std::uint64_t low_free_ = 0;  // no free frame has a lower index
 };
 
 }  // namespace hw

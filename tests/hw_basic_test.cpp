@@ -3,6 +3,9 @@
 
 #include <cstring>
 #include <numeric>
+#include <optional>
+#include <random>
+#include <set>
 #include <vector>
 
 #include "hw/cpu.hpp"
@@ -63,6 +66,113 @@ TEST(HostMemory, OutOfBoundsThrows) {
   EXPECT_THROW(mem.write(kPageSize - 10, buf), std::out_of_range);
   EXPECT_THROW(mem.read(kPageSize, buf), std::out_of_range);
   EXPECT_THROW(mem.view(kPageSize - 1, 2), std::out_of_range);
+}
+
+TEST(HostMemory, UntouchedFramesReadZeroAndMisuseThrows) {
+  HostMemory mem{100 * kPageSize};  // not a multiple of 64 frames
+  const auto run = mem.alloc_contiguous(70);
+  ASSERT_TRUE(run.has_value());
+  mem.write(HostMemory::frame_addr(*run), pattern(64));
+  std::vector<std::byte> out(kPageSize, std::byte{0xff});
+  mem.read(HostMemory::frame_addr(99), out);
+  EXPECT_EQ(out, std::vector<std::byte>(kPageSize));
+  for (const auto b : mem.view(HostMemory::frame_addr(*run) + 64, kPageSize)) {
+    ASSERT_EQ(b, std::byte{0});
+  }
+  mem.free_contiguous(*run, 70);
+  EXPECT_THROW(mem.free_contiguous(*run, 70), std::logic_error);
+  EXPECT_THROW(mem.free_frame(100), std::out_of_range);
+  EXPECT_THROW(mem.view(mem.size(), 1), std::out_of_range);
+  EXPECT_THROW(mem.view(8, ~std::size_t{0}), std::out_of_range);
+}
+
+// Reference free list: the ordered-set allocator the bitmap must match
+// frame for frame, since physical addresses feed every simulated output.
+struct SetAllocator {
+  std::set<std::uint64_t> free;
+
+  explicit SetAllocator(std::size_t pages) {
+    for (std::uint64_t f = 0; f < pages; ++f) free.insert(f);
+  }
+  std::optional<std::uint64_t> alloc_frame() {
+    if (free.empty()) return std::nullopt;
+    const auto f = *free.begin();
+    free.erase(free.begin());
+    return f;
+  }
+  std::optional<std::uint64_t> alloc_contiguous(std::size_t pages) {
+    std::uint64_t start = 0;
+    std::size_t len = 0;
+    for (const auto f : free) {
+      if (len == 0 || f != start + len) {
+        start = f;
+        len = 0;
+      }
+      if (++len == pages) {
+        for (auto i = start; i < start + pages; ++i) free.erase(i);
+        return start;
+      }
+    }
+    return std::nullopt;
+  }
+  void free_run(std::uint64_t first, std::size_t pages) {
+    for (auto i = first; i < first + pages; ++i) free.insert(i);
+  }
+};
+
+TEST(HostMemory, BitmapAllocatorMatchesOrderedSetReference) {
+  int word_crossing_runs = 0;
+  int refused_runs = 0;
+  for (const std::size_t pages : {1u, 63u, 64u, 65u, 130u, 333u}) {
+    for (unsigned seed = 1; seed <= 3; ++seed) {
+      SCOPED_TRACE(testing::Message() << pages << " pages, seed " << seed);
+      HostMemory mem{pages * kPageSize};
+      SetAllocator ref{pages};
+      std::mt19937 rng(seed * 7919u + static_cast<unsigned>(pages));
+      struct Held {
+        std::uint64_t first;
+        std::size_t pages;
+      };
+      std::vector<Held> held;
+      for (int step = 0; step < 2000; ++step) {
+        const auto op = rng() % 100;
+        if (op < 35) {
+          const auto got = mem.alloc_frame();
+          ASSERT_EQ(got, ref.alloc_frame()) << "step " << step;
+          if (got) held.push_back({*got, 1});
+        } else if (op < 60) {
+          const std::size_t n = 1 + rng() % std::min<std::size_t>(pages, 80);
+          const auto got = mem.alloc_contiguous(n);
+          ASSERT_EQ(got, ref.alloc_contiguous(n)) << "step " << step;
+          if (got) {
+            held.push_back({*got, n});
+            if (*got / 64 != (*got + n - 1) / 64) ++word_crossing_runs;
+          } else {
+            ++refused_runs;
+          }
+        } else if (!held.empty()) {
+          const auto i = rng() % held.size();
+          const auto h = held[i];
+          held[i] = held.back();
+          held.pop_back();
+          if (h.pages == 1 && op < 80) {
+            mem.free_frame(h.first);
+          } else {
+            mem.free_contiguous(h.first, h.pages);
+          }
+          ref.free_run(h.first, h.pages);
+        }
+        ASSERT_EQ(mem.free_pages(), ref.free.size()) << "step " << step;
+      }
+      // Drain: both run dry on the same frame, then report exhaustion.
+      while (const auto f = ref.alloc_frame()) ASSERT_EQ(mem.alloc_frame(), f);
+      EXPECT_FALSE(mem.alloc_frame().has_value());
+      EXPECT_FALSE(mem.alloc_contiguous(1).has_value());
+      EXPECT_EQ(mem.free_pages(), 0u);
+    }
+  }
+  EXPECT_GT(word_crossing_runs, 0);
+  EXPECT_GT(refused_runs, 0);
 }
 
 TEST(Cpu, CycleCost) {

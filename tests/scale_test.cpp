@@ -1,6 +1,7 @@
 // Scale tests: BCL and the full middleware stack on larger clusters —
 // two-level Myrinet (leaf/spine) topologies, wide meshes, many ranks.
 #include <gtest/gtest.h>
+#include <sys/resource.h>
 
 #include <vector>
 
@@ -185,6 +186,41 @@ TEST(Scale, ThirtyTwoNodeLimitHolds) {
   }(b, got));
   c.engine().run();
   EXPECT_TRUE(got);
+}
+
+long max_rss_kb() {
+  rusage ru{};
+  getrusage(RUSAGE_SELF, &ru);
+  return ru.ru_maxrss;
+}
+
+// 1024 nodes at the default 64 MiB each is 64 GiB of simulated memory.
+// Host memory materializes only the frames that are written, so the whole
+// cluster must fit in a small fraction of that.
+TEST(Scale, ThousandDefaultMemoryNodesOnMesh) {
+  const long rss_before = max_rss_kb();
+  ClusterConfig cfg;
+  cfg.nodes = 1024;
+  cfg.fabric.kind = hw::FabricKind::kNwrcMesh;
+  BclCluster c{cfg};
+  auto& a = c.open_endpoint(0);
+  auto& b = c.open_endpoint(1023);
+  bool got = false;
+  c.engine().spawn([](Endpoint& a, PortId dst) -> Task<void> {
+    auto buf = a.process().alloc(64);
+    a.process().fill_pattern(buf, 5);
+    auto r = co_await a.send_system(dst, buf, 64);
+    EXPECT_EQ(r.err, BclErr::kOk);
+  }(a, b.id()));
+  c.engine().spawn([](Endpoint& b, bool& got) -> Task<void> {
+    auto ev = co_await b.wait_recv();
+    auto data = co_await b.copy_out_system(ev);
+    EXPECT_EQ(data.size(), 64u);
+    got = true;
+  }(b, got));
+  c.engine().run();
+  EXPECT_TRUE(got);
+  EXPECT_LT(max_rss_kb() - rss_before, 512L * 1024);
 }
 
 }  // namespace
