@@ -200,22 +200,23 @@ Postmortem build_postmortem(BclCluster& cluster, hw::NodeId node,
   pm.peer = peer;
   pm.victim = victim;
 
-  // Congestion table: hottest links first.  Retransmit and drop traffic is
-  // the strongest failure signal; ECN marks rank next (a link can be the
+  // Congestion table: hottest links first.  Retransmit and discard traffic
+  // (fault-plan drops and fail-stop discards alike) is the strongest
+  // failure signal; ECN marks rank next (a link can be the
   // congestion point without carrying the resends it provokes — the marks
   // are set where the backlog is, the retransmits ride the whole path);
   // queueing and blocking time break remaining ties.
   auto links = cluster.fabric().congestion_report();
+  const auto heat = [](const hw::Fabric::LinkStats& l) {
+    return std::make_tuple(l.retx_packets + l.dropped + l.failed_drops,
+                           l.ecn_marks, l.queue_wait_us + l.blocked_us,
+                           l.util);
+  };
   std::sort(links.begin(), links.end(),
-            [](const hw::Fabric::LinkStats& a, const hw::Fabric::LinkStats& b) {
-              const auto ka = std::make_tuple(a.retx_packets + a.dropped,
-                                              a.ecn_marks,
-                                              a.queue_wait_us + a.blocked_us,
-                                              a.util);
-              const auto kb = std::make_tuple(b.retx_packets + b.dropped,
-                                              b.ecn_marks,
-                                              b.queue_wait_us + b.blocked_us,
-                                              b.util);
+            [&heat](const hw::Fabric::LinkStats& a,
+                    const hw::Fabric::LinkStats& b) {
+              const auto ka = heat(a);
+              const auto kb = heat(b);
               if (ka != kb) return ka > kb;
               return a.name < b.name;  // deterministic order among idle links
             });

@@ -1,6 +1,7 @@
 #include "hw/link.hpp"
 
 #include <algorithm>
+#include <stdexcept>
 #include <utility>
 
 #include "sim/metrics.hpp"
@@ -8,6 +9,10 @@
 
 namespace hw {
 
+namespace {
+
+// Registers "<prefix>.bytes/.packets/.corrupted/.dropped/.duplicated/
+// .reordered/.busy_us/.queue" callback metrics for one link.
 void register_link_metrics(sim::MetricRegistry& reg, const Link& link,
                            const std::string& prefix) {
   reg.counter(prefix + ".bytes", [&link] { return link.bytes(); });
@@ -40,6 +45,34 @@ void register_link_metrics(sim::MetricRegistry& reg, const Link& link,
             [&link] { return link.windowed_utilization(); });
 }
 
+}  // namespace
+
+Fabric::~Fabric() = default;
+
+void Fabric::register_metrics(sim::MetricRegistry& reg) const {
+  for (const auto& l : links_) {
+    register_link_metrics(reg, *l, "fabric.link." + l->name());
+  }
+}
+
+std::vector<Fabric::LinkStats> Fabric::congestion_report() const {
+  std::vector<LinkStats> out;
+  out.reserve(links_.size());
+  for (const auto& l : links_) out.push_back(l->stats());
+  return out;
+}
+
+void Fabric::set_trace(sim::Trace* tr) {
+  for (const auto& l : links_) l->set_trace(tr);
+}
+
+Link& Fabric::link(const std::string& name) {
+  for (const auto& l : links_) {
+    if (l->name() == name) return *l;
+  }
+  throw std::invalid_argument("no such link: " + name);
+}
+
 Link::Link(sim::Engine& eng, std::string name, const LinkConfig& cfg,
            Sink sink, std::uint64_t seed)
     : eng_{eng},
@@ -47,8 +80,32 @@ Link::Link(sim::Engine& eng, std::string name, const LinkConfig& cfg,
       cfg_{cfg},
       sink_{std::move(sink)},
       in_{eng, cfg.queue_depth},
-      rng_{seed} {
+      fault_rng_{seed} {
+  plan_.seed = seed;
   eng_.spawn_daemon(pump());
+}
+
+sim::Time Link::begin_admit(Packet& p, std::size_t backlog) {
+  const std::size_t thresh = cfg_.ecn_queue_threshold;
+  if (!p.ecn && thresh > 0 && backlog >= thresh) {
+    p.ecn = true;
+    ++ecn_marks_;
+  }
+  return eng_.now();
+}
+
+void Link::admit(Packet&& p, sim::Time stall_began) {
+  const sim::Time now = eng_.now();
+  const sim::Time waited = now - stall_began;
+  if (waited > sim::Time::zero()) blocked_ += waited;
+  const sim::Time bthresh = cfg_.ecn_blocked_threshold;
+  if (!p.ecn && bthresh > sim::Time::zero() && waited >= bthresh) {
+    p.ecn = true;
+    ++ecn_marks_;
+    ++blocked_marks_;
+  }
+  p.enqueued_at = now;
+  in_.commit(std::move(p));
 }
 
 double Link::utilization() const {
@@ -115,8 +172,6 @@ void Link::set_fault_plan(FaultPlan plan) {
 // random draw happens unconditionally (when drop_prob > 0) so the fault
 // stream stays aligned across runs that differ only in drop_nth.
 bool Link::plan_drops(std::uint64_t ordinal) {
-  const sim::Time now = eng_.now();
-  if (now >= plan_.fail_from && now < plan_.fail_until) return true;
   bool drop = std::binary_search(plan_.drop_nth.begin(), plan_.drop_nth.end(),
                                  ordinal);
   if (plan_.drop_prob > 0.0 && fault_rng_.bernoulli(plan_.drop_prob)) {
@@ -156,17 +211,12 @@ sim::Task<void> Link::pump() {
                         static_cast<double>(ecn_marks_));
       }
     }
-    const auto wire =
-        cfg_.per_packet + sim::Time::bytes_at(p.wire_bytes(), cfg_.bandwidth);
+    const auto wire = cfg_.wire_time(p.wire_bytes());
     if (tracing) trace_->interval(now, now + wire, "link." + name_, "wire",
                                   tag);
     busy_ += wire;
     const std::uint64_t ordinal = packets_++;
     bytes_ += p.wire_bytes();
-    if (cfg_.corrupt_prob > 0.0 && rng_.bernoulli(cfg_.corrupt_prob)) {
-      p.corrupted = true;
-      ++corrupted_;
-    }
     if (plan_.active()) {
       if (plan_drops(ordinal)) {
         // The packet still occupied the wire; it just never arrives.
@@ -187,10 +237,7 @@ sim::Task<void> Link::pump() {
     // the fault plan stretches this packet's offset, which is exactly how
     // reordering is injected.
     auto forward_after =
-        cfg_.cut_through
-            ? cfg_.per_packet +
-                  sim::Time::bytes_at(p.header_bytes, cfg_.bandwidth)
-            : wire;
+        cfg_.cut_through ? cfg_.wire_time(p.header_bytes) : wire;
     bool duplicate = false;
     if (plan_.active()) {
       if (plan_.reorder_prob > 0.0 &&

@@ -26,12 +26,13 @@ class Trace;
 
 namespace hw {
 
+class Link;
 class Nic;
 
 // A network fabric: wires NICs together and knows how to route.
 class Fabric {
  public:
-  virtual ~Fabric() = default;
+  virtual ~Fabric();
 
   // Congestion snapshot for one link, as returned by congestion_report().
   struct LinkStats {
@@ -64,17 +65,23 @@ class Fabric {
   // Exports wire-level observability (per-link bytes/packets/queue depth,
   // per-switch forward counts) as callback-backed metrics.  Call after
   // every node is attached; the fabric must outlive the registry reads.
-  virtual void register_metrics(sim::MetricRegistry&) const {}
+  virtual void register_metrics(sim::MetricRegistry& reg) const;
   // Congestion snapshot across every link (unordered); used by the
   // post-mortem dump to rank the hottest links.
-  virtual std::vector<LinkStats> congestion_report() const { return {}; }
+  std::vector<LinkStats> congestion_report() const;
   // Names of the links directly adjacent to `node` (its ingress/egress
   // edges); the post-mortem lists these as suspects for a failed peer.
   virtual std::vector<std::string> links_of(NodeId) const { return {}; }
   // Attaches a trace so links emit wire/queue-wait spans for the
   // latency-attribution pipeline (recorded only while the trace is
   // enabled).  The trace must outlive the fabric's traffic.
-  virtual void set_trace(sim::Trace*) {}
+  void set_trace(sim::Trace* tr);
+  // The link named `name` (e.g. "l0->s2", "m4->0"), for fault injection;
+  // throws std::invalid_argument if there is none.
+  Link& link(const std::string& name);
+
+ protected:
+  std::vector<std::unique_ptr<Link>> links_;  // in construction order
 };
 
 struct LinkConfig {
@@ -90,7 +97,6 @@ struct LinkConfig {
   // link into a NIC must NOT be cut-through, so end-to-end latency pays
   // exactly one full serialization, as in a real wormhole network.
   bool cut_through = false;
-  double corrupt_prob = 0.0;                  // fault injection
   std::size_t queue_depth = 4;
   // ECN marking (congestion notification for the NIC-resident rate
   // controller).  Routers and switches apply `ecn_queue_threshold` to their
@@ -116,11 +122,17 @@ struct LinkConfig {
   // (below ecn_queue_threshold) while the tree stalls.  Roughly one
   // MTU serialization at line rate by default; zero disables.
   sim::Time ecn_blocked_threshold = sim::Time::us(25);
+
+  // Time to serialize `bytes` onto this wire, fixed per-packet cost included.
+  sim::Time wire_time(std::size_t bytes) const {
+    return per_packet + sim::Time::bytes_at(bytes, bandwidth);
+  }
 };
 
 // Deterministic fault schedule for one link.  All random draws come from a
 // dedicated xoshiro stream seeded by `seed`, so a run replays bit-exactly
 // regardless of what the rest of the simulation does with its generators.
+// (Fail-stop is not a plan fault: it is Link::fail()/revive().)
 struct FaultPlan {
   double drop_prob = 0.0;     // packet vanishes after serialization
   double dup_prob = 0.0;      // packet delivered twice
@@ -133,35 +145,35 @@ struct FaultPlan {
   // lets a bench kill exactly the Nth packet for replayable single-loss
   // experiments.
   std::vector<std::uint64_t> drop_nth;
-  // Time-windowed fail-stop: every packet whose serialization starts in
-  // [fail_from, fail_until) is silently discarded.  Time::max() disables.
-  sim::Time fail_from = sim::Time::max();
-  sim::Time fail_until = sim::Time::max();
   std::uint64_t seed = 1;
 
   bool active() const {
     return drop_prob > 0.0 || dup_prob > 0.0 || reorder_prob > 0.0 ||
-           corrupt_prob > 0.0 || !drop_nth.empty() ||
-           fail_from != sim::Time::max();
+           corrupt_prob > 0.0 || !drop_nth.empty();
   }
 };
-
-class Link;
-
-// Registers "<prefix>.bytes/.packets/.corrupted/.dropped/.duplicated/
-// .reordered/.busy_us/.queue" callback metrics for one link.
-void register_link_metrics(sim::MetricRegistry& reg, const Link& link,
-                           const std::string& prefix);
 
 class Link {
  public:
   using Sink = std::function<void(Packet&&)>;
 
+  // `seed` seeds the fault stream (the default plan's seed) until a
+  // set_fault_plan() reseeds it.
   Link(sim::Engine& eng, std::string name, const LinkConfig& cfg, Sink sink,
        std::uint64_t seed = 1);
 
   // Senders push packets here; send() blocks when the queue is full.
   sim::Channel<Packet>& in() { return in_; }
+
+  // Router/switch admission, around the caller's `co_await in().reserve()`
+  // (where wormhole head-of-line blocking happens).  begin_admit ECN-marks
+  // `p` when `backlog` (packets behind it on the caller's input) reaches
+  // ecn_queue_threshold and returns the stall start; admit charges the
+  // stall to blocked_time(), marks `p` if it blocked for at least
+  // ecn_blocked_threshold, stamps enqueued_at after the stall (queue-wait
+  // and blocked time stay disjoint) and commits it.
+  sim::Time begin_admit(Packet& p, std::size_t backlog);
+  void admit(Packet&& p, sim::Time stall_began);
 
   const std::string& name() const { return name_; }
   std::uint64_t packets() const { return packets_; }
@@ -181,22 +193,16 @@ class Link {
   std::size_t queue_hwm() const { return queue_hwm_; }
   // Go-back-N retransmissions that crossed this link.
   std::uint64_t retx_packets() const { return retx_packets_; }
-  // Packets ECN-marked here (by the pump's own thresholds, or attributed by
-  // the upstream router/switch that marked while pushing into this link).
+  // Packets ECN-marked here (by the pump's own thresholds, or by the
+  // admission rule while a router/switch pushed into this link).
   std::uint64_t ecn_marks() const { return ecn_marks_; }
-  void note_ecn_mark() { ++ecn_marks_; }
   // Subset of ecn_marks() attributed to wormhole blocking: the upstream
   // pump was stalled pushing into this link for at least
   // ecn_blocked_threshold, with no deep backlog behind the packet.
   std::uint64_t blocked_marks() const { return blocked_marks_; }
-  void note_blocked_mark() {
-    ++ecn_marks_;
-    ++blocked_marks_;
-  }
-  // Time upstream pumps (router/switch/NIC) spent blocked trying to push
-  // into this link's full queue — wormhole head-of-line blocking.
+  // Time upstream routers/switches spent blocked trying to push into this
+  // link's full queue — wormhole head-of-line blocking.
   sim::Time blocked_time() const { return blocked_; }
-  void add_blocked(sim::Time d) { blocked_ += d; }
   // Lifetime busy fraction of the wire.
   double utilization() const;
   // Busy fraction since the previous windowed_utilization() call (metric
@@ -207,15 +213,17 @@ class Link {
   // Links emit wire/queue-wait spans into `tr` while it is enabled.
   void set_trace(sim::Trace* tr) { trace_ = tr; }
 
-  void set_corrupt_prob(double p) { cfg_.corrupt_prob = p; }
+  // Sets the plan's corruption probability without reseeding, so a link
+  // with no other plan faults corrupts on its constructor seed's stream.
+  void set_corrupt_prob(double p) { plan_.corrupt_prob = p; }
   // Installs (or replaces) the fault schedule; reseeds the fault stream so
   // identical plans replay identically.
   void set_fault_plan(FaultPlan plan);
   const FaultPlan& fault_plan() const { return plan_; }
 
-  // Persistent fail-stop, distinct from the FaultPlan time window: a failed
-  // link eats its queue instantly (a dead wire exerts no backpressure) and
-  // counts every discard in failed_drops until revive() is called.
+  // Fail-stop: a failed link eats its queue instantly (a dead wire exerts
+  // no backpressure, occupies no wire time) and counts every discard in
+  // failed_drops until revive() is called.
   void fail() { failed_flag_ = true; }
   void revive() { failed_flag_ = false; }
   bool failed() const { return failed_flag_; }
@@ -231,9 +239,8 @@ class Link {
   LinkConfig cfg_;
   Sink sink_;
   sim::Channel<Packet> in_;
-  sim::Rng rng_;
   FaultPlan plan_;
-  sim::Rng fault_rng_{1};
+  sim::Rng fault_rng_;
   std::uint64_t packets_ = 0;
   std::uint64_t bytes_ = 0;
   std::uint64_t corrupted_ = 0;

@@ -50,20 +50,13 @@ sim::Task<void> MeshRouter::pump(int dir) {
   auto& in = *inputs_[static_cast<std::size_t>(dir)];
   for (;;) {
     Packet p = co_await in.recv();
-    if (failed_flag_) {
-      // Dead routing chip: consume instantly, forward nothing.
-      ++failed_drops_;
-      continue;
-    }
     co_await eng_.sleep(fab_.cfg_.route_delay);
     const int out = next_dir(p);
     ++forwarded_;
     if (out == kLocal) {
       // Ejection: the message is complete only after its last byte drains
       // from the wormhole — charge one full serialization here.
-      co_await eng_.sleep(fab_.cfg_.link.per_packet +
-                          sim::Time::bytes_at(p.wire_bytes(),
-                                              fab_.cfg_.link.bandwidth));
+      co_await eng_.sleep(fab_.cfg_.link.wire_time(p.wire_bytes()));
       if (local_nic_ != nullptr) local_nic_->deliver(std::move(p));
       continue;
     }
@@ -71,31 +64,10 @@ sim::Task<void> MeshRouter::pump(int dir) {
     if (link == nullptr) throw std::logic_error("mesh edge missing link");
     // The router's input channels are unbounded — this is where a congested
     // mesh actually accumulates backlog (the bounded link queues only feel
-    // it as blocking).  Mark the packet when the backlog behind it is deep,
-    // attributing the mark to the output link it contends for.
-    const std::size_t thresh = fab_.cfg_.link.ecn_queue_threshold;
-    if (!p.ecn && thresh > 0 && in.size() >= thresh) {
-      p.ecn = true;
-      link->note_ecn_mark();
-    }
-    // Two-phase push so the packet is still in hand after any backpressure
-    // stall: reserve a queue slot (this is where wormhole head-of-line
-    // blocking happens), charge the stall to the output link, and mark the
-    // packet when it blocked past ecn_blocked_threshold — a stalled
-    // wormhole tree congests without ever building the input backlogs the
-    // threshold above looks at.  enqueued_at is stamped after the stall so
-    // the link's queue-wait and blocked-time accounts stay disjoint.
-    const sim::Time t_block = eng_.now();
+    // it as blocking); the output link's admission rule marks on both.
+    const sim::Time stall_began = link->begin_admit(p, in.size());
     co_await link->in().reserve();
-    const sim::Time waited = eng_.now() - t_block;
-    if (waited > sim::Time::zero()) link->add_blocked(waited);
-    const sim::Time bthresh = fab_.cfg_.link.ecn_blocked_threshold;
-    if (!p.ecn && bthresh > sim::Time::zero() && waited >= bthresh) {
-      p.ecn = true;
-      link->note_blocked_mark();
-    }
-    p.enqueued_at = eng_.now();
-    link->in().commit(std::move(p));
+    link->admit(std::move(p), stall_began);
   }
 }
 
@@ -147,21 +119,12 @@ int MeshFabric::hops(NodeId a, NodeId b) const {
 }
 
 void MeshFabric::register_metrics(sim::MetricRegistry& reg) const {
-  for (const auto& l : links_) {
-    register_link_metrics(reg, *l, "fabric.link." + l->name());
-  }
+  Fabric::register_metrics(reg);
   for (std::size_t i = 0; i < routers_.size(); ++i) {
     const MeshRouter* r = routers_[i].get();
     reg.counter("fabric.router.m" + std::to_string(i) + ".forwarded",
                 [r] { return r->forwarded(); });
   }
-}
-
-std::vector<Fabric::LinkStats> MeshFabric::congestion_report() const {
-  std::vector<LinkStats> out;
-  out.reserve(links_.size());
-  for (const auto& l : links_) out.push_back(l->stats());
-  return out;
 }
 
 std::vector<std::string> MeshFabric::links_of(NodeId n) const {
@@ -178,21 +141,6 @@ std::vector<std::string> MeshFabric::links_of(NodeId n) const {
     }
   }
   return out;
-}
-
-void MeshFabric::set_link_fault_plan(const std::string& link_name,
-                                     const FaultPlan& plan) {
-  for (const auto& l : links_) {
-    if (l->name() == link_name) {
-      l->set_fault_plan(plan);
-      return;
-    }
-  }
-  throw std::invalid_argument("no mesh link named " + link_name);
-}
-
-void MeshFabric::set_trace(sim::Trace* tr) {
-  for (const auto& l : links_) l->set_trace(tr);
 }
 
 }  // namespace hw

@@ -23,7 +23,6 @@ namespace hw {
 struct MeshConfig {
   LinkConfig link{.bandwidth = 160e6,  // 40 MHz x 32 bit
                   .propagation = sim::Time::ns(30),
-                  .corrupt_prob = 0.0,
                   .queue_depth = 4};
   sim::Time route_delay = sim::Time::ns(175);  // nwrc1032 per-hop latency
 };
@@ -40,22 +39,12 @@ class MeshFabric : public Fabric {
   std::string name() const override { return "nwrc-mesh"; }
   int hops(NodeId a, NodeId b) const override;
   void register_metrics(sim::MetricRegistry& reg) const override;
-  std::vector<LinkStats> congestion_report() const override;
   std::vector<std::string> links_of(NodeId n) const override;
-  void set_trace(sim::Trace* tr) override;
 
   int width() const { return width_; }
   int height() const { return height_; }
   int x_of(NodeId n) const { return static_cast<int>(n) % width_; }
   int y_of(NodeId n) const { return static_cast<int>(n) / width_; }
-
-  MeshRouter& router_at(NodeId n) { return *routers_[n]; }
-
-  // Installs a deterministic fault schedule on the named mesh link
-  // ("m<a>-><b>"); throws if no such link exists.  Lets the property tests
-  // replay drop/dup/reorder on an interior wormhole hop.
-  void set_link_fault_plan(const std::string& link_name,
-                           const FaultPlan& plan);
 
  private:
   friend class MeshRouter;
@@ -65,7 +54,6 @@ class MeshFabric : public Fabric {
   int height_;
   MeshConfig cfg_;
   std::vector<std::unique_ptr<MeshRouter>> routers_;
-  std::vector<std::unique_ptr<Link>> links_;
 };
 
 // One router: 4 neighbour directions plus a local (NIC) port.
@@ -83,13 +71,6 @@ class MeshRouter {
 
   std::uint64_t forwarded() const { return forwarded_; }
 
-  // Persistent fail-stop: a dead routing chip eats every packet that
-  // reaches any of its ports (counted in failed_drops) until revive().
-  void fail() { failed_flag_ = true; }
-  void revive() { failed_flag_ = false; }
-  bool failed() const { return failed_flag_; }
-  std::uint64_t failed_drops() const { return failed_drops_; }
-
  private:
   sim::Task<void> pump(int dir);
   int next_dir(const Packet& p) const;  // XY routing
@@ -102,8 +83,6 @@ class MeshRouter {
   std::vector<Link*> outputs_;
   Nic* local_nic_ = nullptr;
   std::uint64_t forwarded_ = 0;
-  bool failed_flag_ = false;
-  std::uint64_t failed_drops_ = 0;
 };
 
 }  // namespace hw

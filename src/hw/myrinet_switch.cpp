@@ -9,14 +9,10 @@
 namespace hw {
 
 CrossbarSwitch::CrossbarSwitch(sim::Engine& eng, std::string name, int ports,
-                               sim::Time fall_through,
-                               std::size_t ecn_queue_threshold,
-                               sim::Time ecn_blocked_threshold)
+                               sim::Time fall_through)
     : eng_{eng},
       name_{std::move(name)},
       fall_through_{fall_through},
-      ecn_queue_threshold_{ecn_queue_threshold},
-      ecn_blocked_threshold_{ecn_blocked_threshold},
       outputs_(static_cast<std::size_t>(ports), nullptr) {
   for (int p = 0; p < ports; ++p) {
     inputs_.push_back(std::make_unique<sim::Channel<Packet>>(eng_));
@@ -58,45 +54,21 @@ sim::Task<void> CrossbarSwitch::pump(int port) {
       ++failed_drops_;
       continue;
     }
-    if (p.route_pos >= p.route.size()) {
+    Link* link = nullptr;
+    if (p.route_pos < p.route.size()) {
+      const int out = p.route[p.route_pos++];
+      if (out < ports()) link = outputs_[static_cast<std::size_t>(out)];
+    }
+    if (link == nullptr) {
       ++route_errors_;
       note_route_error(p);
       continue;  // malformed route: drop (reliability layer recovers)
     }
-    const int out = p.route[p.route_pos++];
-    Link* link = out >= 0 && out < ports()
-                     ? outputs_[static_cast<std::size_t>(out)]
-                     : nullptr;
-    if (link == nullptr) {
-      ++route_errors_;
-      note_route_error(p);
-      continue;
-    }
     co_await eng_.sleep(fall_through_);
     ++forwarded_;
-    // Input-backlog congestion: like the mesh routers, mark the packet when
-    // it dequeues with a deep backlog still behind it, attributing the mark
-    // to the output link it contends for.
-    if (!p.ecn && ecn_queue_threshold_ > 0 &&
-        in.size() >= ecn_queue_threshold_) {
-      p.ecn = true;
-      link->note_ecn_mark();
-    }
-    // Two-phase push (see MeshRouter::pump): reserve the output queue slot,
-    // charge the stall to the link, mark the packet if it blocked past the
-    // threshold, and only then commit.  enqueued_at is stamped after the
-    // stall so queue-wait and blocked-time accounts stay disjoint.
-    const sim::Time t_block = eng_.now();
+    const sim::Time stall_began = link->begin_admit(p, in.size());
     co_await link->in().reserve();
-    const sim::Time waited = eng_.now() - t_block;
-    if (waited > sim::Time::zero()) link->add_blocked(waited);
-    if (!p.ecn && ecn_blocked_threshold_ > sim::Time::zero() &&
-        waited >= ecn_blocked_threshold_) {
-      p.ecn = true;
-      link->note_blocked_mark();
-    }
-    p.enqueued_at = eng_.now();
-    link->in().commit(std::move(p));
+    link->admit(std::move(p), stall_began);
   }
 }
 
@@ -107,8 +79,7 @@ MyrinetFabric::MyrinetFabric(sim::Engine& eng, std::uint32_t n_nodes,
   const int uplinks = kPorts - cfg_.hosts_per_leaf;
   if (!two_level()) {
     switches_.push_back(std::make_unique<CrossbarSwitch>(
-        eng_, "sw0", kPorts, cfg_.fall_through,
-        cfg_.link.ecn_queue_threshold, cfg_.link.ecn_blocked_threshold));
+        eng_, "sw0", kPorts, cfg_.fall_through));
     switch_links_.resize(switches_.size());
     return;
   }
@@ -122,13 +93,11 @@ MyrinetFabric::MyrinetFabric(sim::Engine& eng, std::uint32_t n_nodes,
   }
   for (int l = 0; l < leaves; ++l) {
     switches_.push_back(std::make_unique<CrossbarSwitch>(
-        eng_, "leaf" + std::to_string(l), kPorts, cfg_.fall_through,
-        cfg_.link.ecn_queue_threshold, cfg_.link.ecn_blocked_threshold));
+        eng_, "leaf" + std::to_string(l), kPorts, cfg_.fall_through));
   }
   for (int s = 0; s < uplinks; ++s) {
     switches_.push_back(std::make_unique<CrossbarSwitch>(
-        eng_, "spine" + std::to_string(s), kPorts, cfg_.fall_through,
-        cfg_.link.ecn_queue_threshold, cfg_.link.ecn_blocked_threshold));
+        eng_, "spine" + std::to_string(s), kPorts, cfg_.fall_through));
   }
   // Leaf l, uplink port hosts_per_leaf+s  <->  spine s, port l.
   // Inter-switch links forward cut-through (wormhole).
@@ -187,25 +156,19 @@ void MyrinetFabric::attach(NodeId id, Nic& nic) {
 }
 
 std::vector<std::uint8_t> MyrinetFabric::route(NodeId src, NodeId dst) const {
-  if (!two_level()) {
-    return {static_cast<std::uint8_t>(dst)};
-  }
-  if (leaf_of(src) == leaf_of(dst)) {
-    return {static_cast<std::uint8_t>(local_port(dst))};
-  }
-  const int spine = spine_for(dst);
-  return {static_cast<std::uint8_t>(cfg_.hosts_per_leaf + spine),
-          static_cast<std::uint8_t>(leaf_of(dst)),
-          static_cast<std::uint8_t>(local_port(dst))};
+  return route_via(src, dst, kDefaultPath);
 }
 
 std::vector<std::uint8_t> MyrinetFabric::route_via(NodeId src, NodeId dst,
                                                    std::uint8_t path_id) const {
-  if (path_id == kDefaultPath || !two_level() || leaf_of(src) == leaf_of(dst)) {
-    return route(src, dst);
+  if (!two_level()) return {static_cast<std::uint8_t>(dst)};
+  if (leaf_of(src) == leaf_of(dst)) {
+    return {static_cast<std::uint8_t>(local_port(dst))};
   }
   const int spine =
-      static_cast<int>(path_id) % static_cast<int>(spine_count());
+      path_id == kDefaultPath
+          ? spine_for(dst)
+          : static_cast<int>(path_id) % static_cast<int>(spine_count());
   return {static_cast<std::uint8_t>(cfg_.hosts_per_leaf + spine),
           static_cast<std::uint8_t>(leaf_of(dst)),
           static_cast<std::uint8_t>(local_port(dst))};
@@ -255,21 +218,6 @@ void MyrinetFabric::revive_switch(std::size_t i) {
   for (Link* l : switch_links_.at(i)) l->revive();
 }
 
-Link* MyrinetFabric::find_link(const std::string& name) const {
-  for (const auto& l : links_) {
-    if (l->name() == name) return l.get();
-  }
-  throw std::invalid_argument("no such link: " + name);
-}
-
-void MyrinetFabric::fail_link(const std::string& name) {
-  find_link(name)->fail();
-}
-
-void MyrinetFabric::revive_link(const std::string& name) {
-  find_link(name)->revive();
-}
-
 void MyrinetFabric::set_route_error_hook(CrossbarSwitch::RouteErrorHook hook) {
   route_error_hook_ = std::move(hook);
   for (auto& sw : switches_) sw->set_route_error_hook(route_error_hook_);
@@ -282,13 +230,6 @@ void MyrinetFabric::set_host_link_corrupt_prob(NodeId node, double p) {
 void MyrinetFabric::set_host_link_fault_plan(NodeId node,
                                              const FaultPlan& plan) {
   host_uplinks_.at(node)->set_fault_plan(plan);
-}
-
-std::vector<Fabric::LinkStats> MyrinetFabric::congestion_report() const {
-  std::vector<LinkStats> out;
-  out.reserve(links_.size());
-  for (const auto& l : links_) out.push_back(l->stats());
-  return out;
 }
 
 std::vector<std::string> MyrinetFabric::links_of(NodeId n) const {
@@ -310,14 +251,8 @@ std::vector<std::string> MyrinetFabric::links_of(NodeId n) const {
   return out;
 }
 
-void MyrinetFabric::set_trace(sim::Trace* tr) {
-  for (const auto& l : links_) l->set_trace(tr);
-}
-
 void MyrinetFabric::register_metrics(sim::MetricRegistry& reg) const {
-  for (const auto& l : links_) {
-    register_link_metrics(reg, *l, "fabric.link." + l->name());
-  }
+  Fabric::register_metrics(reg);
   for (const auto& sw : switches_) {
     const std::string prefix = "fabric.switch." + sw->name();
     const CrossbarSwitch* s = sw.get();

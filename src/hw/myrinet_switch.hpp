@@ -19,18 +19,13 @@ namespace hw {
 
 // Cut-through crossbar: each input port reads the next route byte, waits the
 // fall-through latency, and forwards to the selected output link.  Output
-// contention resolves FIFO through the output link's bounded input queue.
+// contention resolves FIFO through the output link's bounded input queue;
+// ECN marking on input backlog and blocking is the output link's admission
+// rule (Link::begin_admit/admit).
 class CrossbarSwitch {
  public:
-  // `ecn_queue_threshold` applies to the input-port backlog: a packet that
-  // dequeues with at least that many packets still behind it is ECN-marked
-  // (0 disables backlog marking).  `ecn_blocked_threshold` marks a packet
-  // whose push into the output link blocked at least that long even with a
-  // shallow backlog — wormhole congestion shows up as blocking first
-  // (sim::Time::zero() disables blocked marking).
   CrossbarSwitch(sim::Engine& eng, std::string name, int ports,
-                 sim::Time fall_through, std::size_t ecn_queue_threshold = 3,
-                 sim::Time ecn_blocked_threshold = sim::Time::us(25));
+                 sim::Time fall_through);
 
   int ports() const { return static_cast<int>(outputs_.size()); }
   const std::string& name() const { return name_; }
@@ -48,7 +43,6 @@ class CrossbarSwitch {
   // input port (counted in failed_drops) until revive().
   void fail() { failed_flag_ = true; }
   void revive() { failed_flag_ = false; }
-  bool failed() const { return failed_flag_; }
   std::uint64_t failed_drops() const { return failed_drops_; }
 
   // Called (rate-limited per switch, at most once per 100 us of simulated
@@ -67,8 +61,6 @@ class CrossbarSwitch {
   sim::Engine& eng_;
   std::string name_;
   sim::Time fall_through_;
-  std::size_t ecn_queue_threshold_;
-  sim::Time ecn_blocked_threshold_;
   std::vector<std::unique_ptr<sim::Channel<Packet>>> inputs_;
   std::vector<Link*> outputs_;
   std::uint64_t forwarded_ = 0;
@@ -101,9 +93,7 @@ class MyrinetFabric : public Fabric {
   int hops(NodeId a, NodeId b) const override;
   int route_count(NodeId src, NodeId dst) const override;
   void register_metrics(sim::MetricRegistry& reg) const override;
-  std::vector<LinkStats> congestion_report() const override;
   std::vector<std::string> links_of(NodeId n) const override;
-  void set_trace(sim::Trace* tr) override;
 
   // Route as a sequence of switch output ports (deterministic default:
   // cross-leaf traffic rides spine `spine_for(dst)`).
@@ -127,12 +117,10 @@ class MyrinetFabric : public Fabric {
   // -- fail-stop injection ---------------------------------------------------
   // Kills switch `i` (leaves first, then spines; see spine_switch_index):
   // the crossbar eats packets and every attached link goes dead, so nothing
-  // escapes a dead switch in either direction.
+  // escapes a dead switch in either direction.  (One cable is killed with
+  // link(name).fail().)
   void fail_switch(std::size_t i);
   void revive_switch(std::size_t i);
-  // Kills one link by name (e.g. "l0->s2", "n5->sw").
-  void fail_link(const std::string& name);
-  void revive_link(const std::string& name);
 
   CrossbarSwitch& switch_at(std::size_t i) { return *switches_[i]; }
   std::size_t switch_count() const { return switches_.size(); }
@@ -163,13 +151,10 @@ class MyrinetFabric : public Fabric {
     return static_cast<int>(dst) % (kPorts - cfg_.hosts_per_leaf);
   }
 
-  Link* find_link(const std::string& name) const;
-
   sim::Engine& eng_;
   std::uint32_t n_nodes_;
   MyrinetConfig cfg_;
   std::vector<std::unique_ptr<CrossbarSwitch>> switches_;
-  std::vector<std::unique_ptr<Link>> links_;
   std::vector<Link*> host_uplinks_;  // node -> nic->switch link
   std::vector<bool> attached_;
   // Links attached to each switch (either direction), so fail_switch can

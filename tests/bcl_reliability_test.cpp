@@ -30,7 +30,6 @@ ClusterConfig lossy_cluster(double corrupt_prob, bool reliable = true) {
   cfg.node.mem_bytes = 8u << 20;
   cfg.cost.reliable = reliable;
   cfg.cost.rto = Time::us(80);  // recover quickly in tests
-  cfg.fabric.myrinet.link.corrupt_prob = 0.0;  // set per-link below
   (void)corrupt_prob;
   return cfg;
 }
@@ -507,9 +506,7 @@ TEST(BclReliability, FailStoppedPeerSurfacesUnreachable) {
   cfg.cost.adaptive_rto = false;
   cfg.cost.max_retries = 3;
   BclCluster c{cfg};
-  hw::FaultPlan dead;
-  dead.fail_from = Time::zero();  // node 0's uplink never carries a packet
-  myrinet(c).set_host_link_fault_plan(0, dead);
+  myrinet(c).host_uplink(0).fail();  // node 0's uplink never carries a packet
   auto& tx = c.open_endpoint(0);
   auto& rx = c.open_endpoint(1);
   int failures = 0;

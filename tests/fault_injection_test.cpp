@@ -188,10 +188,9 @@ TEST(FaultInjection, FailStoppedPeerUnblocksSurvivors) {
     if (rank == 7) {
       // Fail-stop: this node's uplink goes dark and the rank exits without
       // posting round 2.  Survivors must not wait forever for it.
-      hw::FaultPlan dead;
-      dead.fail_from = Time::zero();
       dynamic_cast<hw::MyrinetFabric&>(world.cluster().fabric())
-          .set_host_link_fault_plan(7, dead);
+          .host_uplink(7)
+          .fail();
       co_return;
     }
     bool threw = false;

@@ -303,10 +303,8 @@ TEST(FlowControl, PeerFailureSurfacesAsCompletion) {
   auto& tx = c.open_endpoint(0);
   auto& rx = c.open_endpoint(1);
   (void)rx;
-  hw::FaultPlan dead;
-  dead.fail_from = Time::zero();  // receiver link fail-stop from t = 0
-  dynamic_cast<hw::MyrinetFabric&>(c.fabric())
-      .set_host_link_fault_plan(1, dead);
+  // Receiver link fail-stop from t = 0.
+  dynamic_cast<hw::MyrinetFabric&>(c.fabric()).host_uplink(1).fail();
 
   bool checked = false;
   c.engine().spawn([](Endpoint& tx, PortId dst, bool& checked) -> Task<void> {

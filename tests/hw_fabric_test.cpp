@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <stdexcept>
 #include <vector>
 
 #include "hw/link.hpp"
@@ -86,11 +87,11 @@ TEST(Link, BackpressureBlocksSender) {
 TEST(Link, CorruptionInjection) {
   Engine eng;
   LinkConfig cfg;
-  cfg.corrupt_prob = 0.5;
   int corrupted = 0, clean = 0;
   Link link{eng, "l", cfg,
             [&](Packet&& p) { (p.corrupted ? corrupted : clean)++; },
             /*seed=*/33};
+  link.set_corrupt_prob(0.5);
   eng.spawn([](Link& l) -> Task<void> {
     for (int i = 0; i < 200; ++i) co_await l.in().send(make_packet(0, 1, 10));
   }(link));
@@ -98,6 +99,45 @@ TEST(Link, CorruptionInjection) {
   EXPECT_GT(corrupted, 50);
   EXPECT_GT(clean, 50);
   EXPECT_EQ(link.corrupted(), static_cast<std::uint64_t>(corrupted));
+  // The corruption stream is the link's seed: 88 of 200 at seed 33.  A
+  // change to which generator draws, or in what order, fails here by name.
+  EXPECT_EQ(corrupted, 88);
+}
+
+// Fail-stop on a bare link: packets dequeued while the link is failed are
+// eaten (counted in failed_drops, never delivered, no wire time), and the
+// traffic before and after the outage arrives in order.  This is the
+// time-windowed outage the recovery tests schedule with fail()/revive().
+TEST(Link, FailReviveWindowDiscardsWithoutWireTime) {
+  Engine eng;
+  LinkConfig cfg;
+  cfg.bandwidth = 1e6;  // 1 B/us: a 100 B packet holds the wire for 100 us
+  std::vector<std::uint64_t> order;
+  Link link{eng, "l", cfg, [&](Packet&& p) { order.push_back(p.id); }};
+  const Time wire = cfg.wire_time(make_packet(0, 1, 100).wire_bytes());
+  // Two packets before the outage, three during it, two after.
+  eng.spawn([](Engine& e, Link& l, Time wire) -> Task<void> {
+    for (std::uint64_t i = 0; i < 7; ++i) {
+      if (i == 2) {
+        co_await e.sleep_until(Time::us(1000));
+        l.fail();
+        EXPECT_TRUE(l.failed());
+      }
+      if (i == 5) {
+        co_await e.sleep_until(Time::us(2000));
+        l.revive();
+        EXPECT_FALSE(l.failed());
+      }
+      co_await l.in().send(make_packet(0, 1, 100, i));
+      if (i < 2 || i >= 5) co_await e.sleep(wire);
+    }
+  }(eng, link, wire));
+  eng.run();
+  EXPECT_EQ(order, (std::vector<std::uint64_t>{0, 1, 5, 6}));
+  EXPECT_EQ(link.failed_drops(), 3u);
+  EXPECT_EQ(link.dropped(), 0u);  // fail-stop is not a fault-plan drop
+  EXPECT_EQ(link.packets(), 4u);
+  EXPECT_EQ(link.busy_time(), wire * 4);
 }
 
 // Builds a fabric with N nodes and returns delivered packets per node.
@@ -254,6 +294,20 @@ TEST(TopologyFactory, FarNodesTakeLonger) {
   FabricHarness far{9, opts};
   const Time t_far = far.send_and_receive(0, 8, 512);
   EXPECT_GT(t_far, t_near);
+}
+
+// Both fabrics expose every link by name for fault injection, and an
+// unknown name is a loud error rather than a silently missed fault.
+TEST(TopologyFactory, LinkLookupByNameOnBothFabrics) {
+  FabricHarness xbar{2};
+  EXPECT_EQ(xbar.fabric->link("n1->sw").name(), "n1->sw");
+  EXPECT_EQ(xbar.fabric->link("sw->n0").name(), "sw->n0");
+  EXPECT_THROW(xbar.fabric->link("n2->sw"), std::invalid_argument);
+  hw::FabricOptions opts;
+  opts.kind = hw::FabricKind::kNwrcMesh;
+  FabricHarness mesh{4, opts};
+  EXPECT_EQ(mesh.fabric->link("m0->1").name(), "m0->1");
+  EXPECT_THROW(mesh.fabric->link("n0->sw"), std::invalid_argument);
 }
 
 }  // namespace

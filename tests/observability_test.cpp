@@ -6,7 +6,8 @@
 //  * Collective fan-out trees link per-member records parent -> child.
 //  * The per-NIC flight recorder ring wraps, keeping the newest events.
 //  * A forced fail-stop produces a post-mortem naming the faulted peer's
-//    links; a collective watchdog expiry on the mesh names mesh links.
+//    links; a collective watchdog expiry on the mesh names mesh links;
+//    a fail-stopped cable ranks hottest on its failed_drops.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -285,10 +286,9 @@ TEST(Postmortem, FailStopProducesDiagnosisNamingFaultedPeer) {
     me.write_doubles(sbuf, std::vector<double>(kCount, rank + 1.0));
     co_await me.allreduce(sbuf, rbuf, kCount);
     if (rank == 7) {
-      hw::FaultPlan dead;
-      dead.fail_from = Time::zero();
       dynamic_cast<hw::MyrinetFabric&>(world.cluster().fabric())
-          .set_host_link_fault_plan(7, dead);
+          .host_uplink(7)
+          .fail();
       co_return;
     }
     try {
@@ -386,10 +386,9 @@ TEST(Postmortem, DumpCountIsBounded) {
     me.write_doubles(sbuf, std::vector<double>(kCount, 1.0));
     co_await me.allreduce(sbuf, rbuf, kCount);
     if (rank == 7) {
-      hw::FaultPlan dead;
-      dead.fail_from = Time::zero();
       dynamic_cast<hw::MyrinetFabric&>(world.cluster().fabric())
-          .set_host_link_fault_plan(7, dead);
+          .host_uplink(7)
+          .fail();
       co_return;
     }
     try {
@@ -470,6 +469,34 @@ TEST(Postmortem, RestartCountersAndIncarnationFieldsSurface) {
   const std::string js = c.postmortems_json();
   EXPECT_NE(js.find("\"incarnation\""), std::string::npos);
   EXPECT_NE(js.find("\"peer_incarnation\""), std::string::npos);
+}
+
+// A cable killed by fail-stop carries no retransmissions (it eats them), so
+// only its failed_drops can rank it: with room for one link, the post-mortem
+// must name the dead one.
+TEST(Postmortem, FailStoppedLinkRanksHottest) {
+  bcl::ClusterConfig cfg;
+  cfg.nodes = 2;
+  cfg.node.mem_bytes = 8u << 20;
+  cfg.cost.rto = Time::us(60);
+  cfg.cost.max_retries = 3;
+  cfg.postmortem_top_links = 1;
+  bcl::BclCluster c{cfg};
+  c.fabric().link("sw->n1").fail();
+  auto& tx = c.open_endpoint(0);
+  auto& rx = c.open_endpoint(1);
+  c.engine().spawn([](bcl::Endpoint& tx, bcl::PortId dst) -> Task<void> {
+    auto buf = tx.process().alloc(64);
+    EXPECT_EQ((co_await tx.send_system(dst, buf, 64)).err, bcl::BclErr::kOk);
+    (void)co_await tx.wait_send();  // staged; the retry budget then exhausts
+  }(tx, rx.id()));
+  c.engine().run();
+
+  ASSERT_FALSE(c.postmortems().empty());
+  const auto& top = c.postmortems().front().top_links;
+  ASSERT_EQ(top.size(), 1u);
+  EXPECT_EQ(top[0].name, "sw->n1");
+  EXPECT_GT(top[0].failed_drops, 0u);
 }
 
 }  // namespace

@@ -73,10 +73,13 @@ TEST(Recovery, FaultWindowClosingBeforeBudgetHealsInPlace) {
   cfg.cost.rto = Time::us(80);
   cfg.cost.max_retries = 10;  // ladder budget far outlasts the window
   bcl::BclCluster c{cfg};
-  hw::FaultPlan window;
-  window.fail_from = Time::us(150);
-  window.fail_until = Time::us(450);
-  myrinet(c).set_host_link_fault_plan(1, window);
+  // Node 1's uplink is dead for [150 us, 450 us).
+  c.engine().spawn([](sim::Engine& eng, hw::Link& up) -> Task<void> {
+    co_await eng.sleep_until(Time::us(150));
+    up.fail();
+    co_await eng.sleep_until(Time::us(450));
+    up.revive();
+  }(c.engine(), myrinet(c).host_uplink(1)));
 
   auto& tx = c.open_endpoint(0);
   auto& rx = c.open_endpoint(1);
